@@ -55,30 +55,29 @@ fn main() {
             .and_then(serde_json::Value::as_bool)
             .unwrap_or(false),
     );
-    // The ingest front-end sweep (thread-per-connection vs epoll reactor
-    // across connection counts and shard widths) stays out of the
-    // conformance value for the same reason: host topology must never
-    // move a golden.
+    // The reactor front-end sweep (connection counts × shard widths)
+    // stays out of the conformance value for the same reason: host
+    // topology must never move a golden.
     let frontends = experiments::ingest_frontend(&args);
-    println!(
-        "Ingest front end: reactor x{:.2} over threads at 256 conns/1 shard, x{:.2} at 256 conns/4 shards, x{:.2} at 1024 conns/4 shards (gate enforced: {})",
-        frontends
-            .get("reactor_speedup_256conns_1shard")
-            .and_then(serde_json::Value::as_f64)
-            .unwrap_or(0.0),
-        frontends
-            .get("reactor_speedup_256conns_4shards")
-            .and_then(serde_json::Value::as_f64)
-            .unwrap_or(0.0),
-        frontends
-            .get("reactor_speedup_1024conns_4shards")
-            .and_then(serde_json::Value::as_f64)
-            .unwrap_or(0.0),
-        frontends
-            .get("gate_enforced")
-            .and_then(serde_json::Value::as_bool)
-            .unwrap_or(false),
-    );
+    for arm in frontends
+        .get("sweep")
+        .and_then(serde_json::Value::as_array)
+        .into_iter()
+        .flatten()
+    {
+        let num = |key: &str| {
+            arm.get(key)
+                .and_then(serde_json::Value::as_f64)
+                .unwrap_or(0.0)
+        };
+        println!(
+            "Ingest front end: {:.0} conns / {:.0} shard(s): {:.0} msg/s, p99 queue latency {:.0} us",
+            num("connections"),
+            num("shards"),
+            num("msgs_per_sec"),
+            num("p99_queue_latency_us"),
+        );
+    }
     // The columnar-store sweep (compression ratio + template-query
     // speedup) rides along the same way: committed evidence, never part
     // of the conformance value.

@@ -39,8 +39,7 @@ pub use filter::NoiseFilter;
 pub use model_quality::ModelQuality;
 pub use persist::{canonicalize_json, to_canonical_json, SavedModel, SavedPipeline};
 pub use service::{
-    batch_size_bucket, latency_bucket_upper_us, latency_bucket_us, latency_percentile_us, Alert,
-    BatchSnapshot, FrameOutcome, HealthSnapshot, IngestSnapshot, MonitorService, MonitorStats,
-    BATCH_SIZE_BUCKETS, LATENCY_BUCKETS,
+    Alert, BatchSnapshot, FrameOutcome, HealthSnapshot, IngestSnapshot, MonitorService,
+    MonitorStats,
 };
 pub use taxonomy::Category;

@@ -233,62 +233,6 @@ impl IngestSnapshot {
     }
 }
 
-/// Buckets in the [`BatchSnapshot`] batch-size histogram: sizes 1, 2–3,
-/// 4–7, …, 256+ (log₂ buckets).
-pub const BATCH_SIZE_BUCKETS: usize = 9;
-
-/// Buckets in the [`BatchSnapshot`] latency histograms: log₂ microsecond
-/// buckets `[2^i, 2^(i+1))` µs, with the last bucket open-ended.
-pub const LATENCY_BUCKETS: usize = 20;
-
-/// Histogram bucket index for a batch of `n` frames.
-pub fn batch_size_bucket(n: usize) -> usize {
-    if n <= 1 {
-        0
-    } else {
-        (usize::BITS - 1 - n.leading_zeros()).min(BATCH_SIZE_BUCKETS as u32 - 1) as usize
-    }
-}
-
-/// Histogram bucket index for a latency of `us` microseconds.
-pub fn latency_bucket_us(us: u64) -> usize {
-    if us <= 1 {
-        0
-    } else {
-        (u64::BITS - 1 - us.leading_zeros()).min(LATENCY_BUCKETS as u32 - 1) as usize
-    }
-}
-
-/// Inclusive upper bound (µs) of latency bucket `i`, used when estimating
-/// percentiles from a histogram. The open last bucket reports its lower
-/// bound (a floor, not a ceiling).
-pub fn latency_bucket_upper_us(i: usize) -> u64 {
-    if i + 1 >= LATENCY_BUCKETS {
-        1 << (LATENCY_BUCKETS - 1)
-    } else {
-        (1 << (i + 1)) - 1
-    }
-}
-
-/// Estimate the `p`-th percentile (0–100) of a latency histogram as the
-/// upper bound of the bucket holding that rank. Zero for an empty
-/// histogram.
-pub fn latency_percentile_us(hist: &[u64], p: f64) -> u64 {
-    let total: u64 = hist.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, &count) in hist.iter().enumerate() {
-        seen += count;
-        if seen >= rank {
-            return latency_bucket_upper_us(i);
-        }
-    }
-    latency_bucket_upper_us(hist.len().saturating_sub(1))
-}
-
 /// Point-in-time counters from a micro-batching stage between the ingest
 /// queue and the classifiers: how frames were grouped, why batches were
 /// dispatched, and how long frames waited. Owned by whichever worker loop
@@ -312,36 +256,33 @@ pub struct BatchSnapshot {
     /// Batches dispatched because the queue disconnected (graceful drain
     /// flushing a partially filled batch).
     pub drain_flushes: u64,
-    /// Frames by the size of the batch that carried them (log₂ buckets:
-    /// 1, 2–3, 4–7, …, 256+). Sums to the total frames batched.
-    pub batch_size_hist: [u64; BATCH_SIZE_BUCKETS],
-    /// Batches by how long they waited to fill after their first frame
-    /// (log₂ µs buckets). Sums to `batches`.
-    pub fill_latency_us_hist: [u64; LATENCY_BUCKETS],
-    /// Frames by queue→prediction latency: enqueue at the socket to batch
-    /// dispatch completion (log₂ µs buckets). Sums to the frames batched.
-    pub queue_latency_us_hist: [u64; LATENCY_BUCKETS],
+    /// Total frames that went through the batching stage.
+    pub frames: u64,
+    /// Median time a batch waited to fill after its first frame, µs
+    /// (upper bound of its log-linear bucket, ≤ 12.5 % above the truth).
+    pub fill_latency_p50_us: u64,
+    /// 99th-percentile batch fill time, µs.
+    pub fill_latency_p99_us: u64,
+    /// Median queue→prediction latency, µs: enqueue at the socket to
+    /// batch dispatch completion.
+    pub queue_latency_p50_us: u64,
+    /// 99th-percentile queue→prediction latency, µs.
+    pub queue_latency_p99_us: u64,
 }
 
 impl BatchSnapshot {
-    /// Total frames that went through the batching stage (the batch-size
-    /// histogram total).
-    pub fn frames(&self) -> u64 {
-        self.batch_size_hist.iter().sum()
-    }
-
     /// Mean frames per dispatched batch.
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             0.0
         } else {
-            self.frames() as f64 / self.batches as f64
+            self.frames as f64 / self.batches as f64
         }
     }
 
     /// Estimated p99 queue→prediction latency in microseconds.
     pub fn p99_queue_latency_us(&self) -> u64 {
-        latency_percentile_us(&self.queue_latency_us_hist, 99.0)
+        self.queue_latency_p99_us
     }
 }
 
@@ -788,7 +729,7 @@ mod tests {
         // wire format).
         let json = serde_json::to_string(&health).unwrap();
         assert!(json.contains("\"shed\""));
-        assert!(json.contains("\"batch_size_hist\""));
+        assert!(json.contains("\"queue_latency_p99_us\""));
     }
 
     #[test]
@@ -894,42 +835,6 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.total, 2);
         assert_eq!(stats.prefiltered, 1);
-    }
-
-    #[test]
-    fn batch_histogram_bucket_edges() {
-        assert_eq!(batch_size_bucket(1), 0);
-        assert_eq!(batch_size_bucket(2), 1);
-        assert_eq!(batch_size_bucket(3), 1);
-        assert_eq!(batch_size_bucket(4), 2);
-        assert_eq!(batch_size_bucket(255), 7);
-        assert_eq!(batch_size_bucket(256), 8);
-        assert_eq!(batch_size_bucket(100_000), 8);
-        assert_eq!(latency_bucket_us(0), 0);
-        assert_eq!(latency_bucket_us(1), 0);
-        assert_eq!(latency_bucket_us(2), 1);
-        assert_eq!(latency_bucket_us(1 << 25), LATENCY_BUCKETS - 1);
-        // Upper bounds cover their buckets.
-        assert_eq!(latency_bucket_upper_us(0), 1);
-        assert_eq!(latency_bucket_upper_us(1), 3);
-    }
-
-    #[test]
-    fn latency_percentile_from_histogram() {
-        let mut hist = [0u64; LATENCY_BUCKETS];
-        assert_eq!(latency_percentile_us(&hist, 99.0), 0);
-        // 99 fast frames in bucket 0, one slow frame in bucket 10.
-        hist[0] = 99;
-        hist[10] = 1;
-        assert_eq!(latency_percentile_us(&hist, 50.0), 1);
-        assert_eq!(
-            latency_percentile_us(&hist, 99.0),
-            latency_bucket_upper_us(0)
-        );
-        assert_eq!(
-            latency_percentile_us(&hist, 100.0),
-            latency_bucket_upper_us(10)
-        );
     }
 
     #[test]

@@ -184,27 +184,6 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Fold the fine-grained buckets into `N` legacy log₂ buckets with the
-    /// pipeline's convention: values ≤ 1 land in bucket 0, otherwise
-    /// `floor(log2 v)` clamped to `N-1`. Exact, because no fine bucket
-    /// straddles a power of two.
-    pub fn counts_log2<const N: usize>(&self) -> [u64; N] {
-        let mut out = [0u64; N];
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let lower = bucket_lower(i);
-            let idx = if lower <= 1 {
-                0
-            } else {
-                ((63 - lower.leading_zeros()) as usize).min(N - 1)
-            };
-            out[idx] += c;
-        }
-        out
-    }
 }
 
 /// A log-linear-bucketed atomic histogram over `u64` values (durations in
@@ -373,26 +352,6 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.buckets[bucket_index(64)], 64);
         assert_eq!(s.buckets[bucket_index(3)], 3);
-    }
-
-    #[test]
-    fn log2_fold_matches_direct_bucketing() {
-        // The pipeline's legacy convention: ≤1 → bucket 0, else floor(log2)
-        // clamped. Folding the fine histogram must agree value-for-value.
-        fn legacy(v: u64, n: usize) -> usize {
-            if v <= 1 {
-                0
-            } else {
-                ((63 - v.leading_zeros()) as usize).min(n - 1)
-            }
-        }
-        let h = Histogram::new();
-        let mut reference = [0u64; 20];
-        for v in [0u64, 1, 2, 3, 4, 7, 8, 100, 1023, 1024, 1 << 19, 1 << 25] {
-            h.record(v);
-            reference[legacy(v, 20)] += 1;
-        }
-        assert_eq!(h.snapshot().counts_log2::<20>(), reference);
     }
 
     #[test]

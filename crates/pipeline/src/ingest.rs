@@ -1,20 +1,18 @@
-//! The multi-threaded collector: rsyslogd → Fluentd → store, as a
-//! sharded SPSC-ring pipeline.
+//! The in-process collector: rsyslogd → Fluentd → store, replayed through
+//! the live path without a socket.
 //!
-//! Stage 1 (this thread): feed raw frames round-robin into one bounded
-//! SPSC ring per worker — backpressure stands in for the syslog server's
-//! queue. Stage 2 (N parser workers): each drains only its own ring and
-//! parses frames into [`LogRecord`]s, so workers never contend on a shared
-//! queue lock. Stage 3 (the workers, directly): insert into the shared
-//! [`LogStore`], whose sharded locks absorb the concurrency.
+//! [`IngestPipeline`] is a *feeder* of the live path (`live.rs`): this
+//! thread decodes (for [`IngestPipeline::run_stream`]) and enqueues
+//! frames, a chunk per enqueue, round-robin over the shard rings —
+//! backpressure stands in for the syslog server's queue — and the shard
+//! workers parse, batch, and insert into the shared [`LogStore`] exactly
+//! as they do behind the socket listener, minus the classifier.
 
-use crate::record::LogRecord;
+use crate::listener::UDP_SOURCE;
+use crate::live::LivePath;
 use crate::store::LogStore;
-use crossbeam::spsc;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Pipeline statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -46,33 +44,12 @@ impl IngestReport {
     }
 }
 
-/// The feed side of the sharded collector: owns every worker's ring
-/// producer and fans frames out round-robin. Dropping it hangs up every
-/// ring, which is the workers' drain-and-exit signal.
-struct ShardedFeeder {
-    producers: Vec<spsc::RingProducer<String>>,
-    next: Cell<usize>,
-}
-
-impl ShardedFeeder {
-    /// Bounded send to the next ring in rotation: blocks when that ring's
-    /// parser lags (backpressure). Errors once the worker is gone.
-    fn send(&self, frame: String) -> Result<(), spsc::SendError<String>> {
-        let shard = self.next.get();
-        self.next.set((shard + 1) % self.producers.len());
-        self.producers[shard].send(frame)
-    }
-}
-
-/// A configurable ingest pipeline over a shared store.
+/// An in-process ingest pipeline over a shared store.
 pub struct IngestPipeline {
     store: Arc<LogStore>,
     workers: usize,
-    queue_depth: usize,
     /// Event time assigned to frames without a timestamp.
     fallback_time: i64,
-    max_batch: usize,
-    max_delay: Duration,
 }
 
 impl IngestPipeline {
@@ -81,10 +58,7 @@ impl IngestPipeline {
         IngestPipeline {
             store,
             workers: workers.max(1),
-            queue_depth: 8192,
             fallback_time: 0,
-            max_batch: 64,
-            max_delay: Duration::from_millis(2),
         }
     }
 
@@ -94,29 +68,11 @@ impl IngestPipeline {
         self
     }
 
-    /// Set the bounded parser-queue depth (how far decode may run ahead of
-    /// the parse/store workers before blocking).
-    pub fn with_queue_depth(mut self, depth: usize) -> IngestPipeline {
-        self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Tune worker micro-batching: each worker pulls up to `max_batch`
-    /// frames per channel drain (waiting at most `max_delay` past the
-    /// first frame) to amortize queue synchronization. The counters in
-    /// [`IngestReport`] are identical for every setting; `max_batch = 1`
-    /// is the frame-at-a-time path.
-    pub fn with_batching(mut self, max_batch: usize, max_delay: Duration) -> IngestPipeline {
-        self.max_batch = max_batch.max(1);
-        self.max_delay = max_delay;
-        self
-    }
-
     /// Run the pipeline over a raw TCP byte stream (RFC 6587 framing,
     /// octet-counted or LF-delimited), as delivered by the syslog server's
     /// socket in arbitrary chunks.
     ///
-    /// Frames are sent into the bounded parser queue *as each chunk is
+    /// Frames are sent into the bounded shard rings *as each chunk is
     /// decoded*: the workers run concurrently with decoding, and a slow
     /// parser stage blocks the decode loop (real backpressure) instead of
     /// the stream being buffered whole in memory first.
@@ -124,20 +80,16 @@ impl IngestPipeline {
     where
         I: IntoIterator<Item = Vec<u8>>,
     {
-        self.run_with(|tx| {
-            let mut decoder = syslog_model::FrameDecoder::new();
-            for chunk in chunks {
-                for frame in decoder.push(&chunk) {
-                    if tx.send(frame).is_err() {
-                        return decoder.dropped();
-                    }
-                }
-            }
-            if let Some(tail) = decoder.finish() {
-                let _ = tx.send(tail);
-            }
-            decoder.dropped()
-        })
+        let started = Instant::now();
+        let path = self.start();
+        let mut decoder = syslog_model::FrameDecoder::new();
+        for chunk in chunks {
+            path.sink().submit_many(UDP_SOURCE, decoder.push(&chunk));
+        }
+        if let Some(tail) = decoder.finish() {
+            path.sink().submit_many(UDP_SOURCE, vec![tail]);
+        }
+        report(path, decoder.dropped(), started)
     }
 
     /// Run the pipeline to completion over an iterator of raw frames.
@@ -145,96 +97,32 @@ impl IngestPipeline {
     where
         I: IntoIterator<Item = String>,
     {
-        self.run_with(|tx| {
-            for frame in frames {
-                // Bounded send: blocks when parsers lag (backpressure).
-                if tx.send(frame).is_err() {
-                    break;
-                }
-            }
-            0
-        })
+        let started = Instant::now();
+        let path = self.start();
+        path.feed(frames);
+        report(path, 0, started)
     }
 
-    /// Shared engine: spawn one parser worker per shard ring, let `feed`
-    /// drive frames round-robin into the rings from this thread, then
-    /// drain and join. `feed` returns the number of frames the decode
-    /// stage dropped.
-    fn run_with<F>(&self, feed: F) -> IngestReport
-    where
-        F: FnOnce(&ShardedFeeder) -> u64,
-    {
-        let started = Instant::now();
-        // One SPSC ring per worker; the configured queue depth is the
-        // aggregate bound across rings, as with the single shared channel
-        // this replaces.
-        let per_shard = self.queue_depth.div_ceil(self.workers).max(1);
-        let (producers, consumers): (Vec<_>, Vec<_>) = (0..self.workers)
-            .map(|_| spsc::ring::<String>(per_shard))
-            .unzip();
-        let feeder = ShardedFeeder {
-            producers,
-            next: Cell::new(0),
-        };
-        let ingested = AtomicU64::new(0);
-        let free_form = AtomicU64::new(0);
-        let dropped = AtomicU64::new(0);
-        let mut decoder_dropped = 0;
+    fn start(&self) -> LivePath {
+        LivePath::start_in_process(
+            self.store.clone(),
+            None,
+            self.workers,
+            self.fallback_time,
+            None,
+        )
+    }
+}
 
-        std::thread::scope(|scope| {
-            for rx in consumers {
-                let store = &self.store;
-                let ingested = &ingested;
-                let free_form = &free_form;
-                let dropped = &dropped;
-                let fallback_time = self.fallback_time;
-                let max_batch = self.max_batch;
-                let max_delay = self.max_delay;
-                scope.spawn(move || {
-                    // Drain-and-batch: block for the first frame, then fill
-                    // up to max_batch or until max_delay elapses, and parse
-                    // the batch in one pass. Amortizes ring wakeups;
-                    // counter semantics are identical to frame-at-a-time.
-                    let mut batch: Vec<String> = Vec::with_capacity(max_batch);
-                    while let Ok(first) = rx.recv() {
-                        batch.clear();
-                        batch.push(first);
-                        if max_batch > 1 {
-                            rx.drain_into(&mut batch, max_batch, Instant::now() + max_delay);
-                        }
-                        for frame in batch.drain(..) {
-                            match syslog_model::parse(&frame) {
-                                Ok(msg) => {
-                                    if msg.protocol == syslog_model::Protocol::FreeForm {
-                                        free_form.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    let record = LogRecord::from_message(
-                                        store.allocate_id(),
-                                        &msg,
-                                        fallback_time,
-                                    );
-                                    store.insert(record);
-                                    ingested.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(_) => {
-                                    dropped.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            decoder_dropped = feed(&feeder);
-            drop(feeder);
-        });
-
-        IngestReport {
-            ingested: ingested.into_inner(),
-            free_form: free_form.into_inner(),
-            dropped: dropped.into_inner(),
-            decoder_dropped,
-            seconds: started.elapsed().as_secs_f64(),
-        }
+/// Drain the path and read the run's counters off it.
+fn report(mut path: LivePath, decoder_dropped: u64, started: Instant) -> IngestReport {
+    path.finish();
+    IngestReport {
+        ingested: path.stats.ingested.get(),
+        free_form: path.stats.free_form.get(),
+        dropped: path.stats.parse_errors.get(),
+        decoder_dropped,
+        seconds: started.elapsed().as_secs_f64(),
     }
 }
 
@@ -311,7 +199,7 @@ mod tests {
     #[test]
     fn stream_reports_decoder_drops_and_strips_truncated_count() {
         let store = Arc::new(LogStore::new());
-        let pipeline = IngestPipeline::new(store.clone(), 2).with_queue_depth(4);
+        let pipeline = IngestPipeline::new(store.clone(), 2);
         // An oversized count (dropped, payload survives as an LF frame),
         // then a truncated octet-counted tail whose "35 " count token must
         // not leak into a stored record.
@@ -325,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn batching_preserves_report_counters() {
+    fn mixed_traffic_fills_every_report_counter() {
         // Mixed traffic: parseable, free-form, and empty (dropped) frames.
         let frames: Vec<String> = (0..900)
             .map(|i| match i % 3 {
@@ -334,24 +222,13 @@ mod tests {
                 _ => String::new(),
             })
             .collect();
-        let mut reports = Vec::new();
-        for max_batch in [1usize, 7, 64] {
-            let store = Arc::new(LogStore::new());
-            let pipeline = IngestPipeline::new(store.clone(), 3)
-                .with_batching(max_batch, Duration::from_millis(1));
-            let report = pipeline.run(frames.clone());
-            assert_eq!(store.len() as u64, report.ingested);
-            reports.push(report);
-        }
-        for r in &reports {
-            assert_eq!(r.ingested, reports[0].ingested);
-            assert_eq!(r.free_form, reports[0].free_form);
-            assert_eq!(r.dropped, reports[0].dropped);
-            assert_eq!(r.decoder_dropped, reports[0].decoder_dropped);
-        }
-        assert_eq!(reports[0].ingested, 600);
-        assert_eq!(reports[0].free_form, 300);
-        assert_eq!(reports[0].dropped, 300);
+        let store = Arc::new(LogStore::new());
+        let report = IngestPipeline::new(store.clone(), 3).run(frames);
+        assert_eq!(store.len() as u64, report.ingested);
+        assert_eq!(report.ingested, 600);
+        assert_eq!(report.free_form, 300);
+        assert_eq!(report.dropped, 300);
+        assert_eq!(report.decoder_dropped, 0);
     }
 
     #[test]

@@ -14,14 +14,17 @@
 //!   per-segment template dictionary, delta/dictionary-encoded columns,
 //!   block compression, template-native queries;
 //! * [`query`] — boolean term + time-range + metadata queries;
-//! * [`ingest`] — the multi-threaded collector (the rsyslog/Fluentd
-//!   stand-in) built on crossbeam channels;
+//! * `live` (private) — the one live path: the shard workers'
+//!   drain-up-to-`max_batch`-or-`max_delay` loop and what a worker does
+//!   with a batch; every module below that moves frames is a feeder of it;
+//! * [`ingest`] — the in-process collector (the rsyslog/Fluentd
+//!   stand-in): replays frames or a raw byte stream through the live path;
 //! * [`listener`] — the socket-facing front end: fault-tolerant TCP/UDP
 //!   syslog listeners with bounded-queue overload policies, idle timeouts,
 //!   a dead-letter ring, and graceful drain;
-//! * [`reactor`] — the event-driven TCP front end: a pool of epoll
-//!   reactor threads multiplexing hundreds of nonblocking connections
-//!   (the default; thread-per-connection remains the escape hatch);
+//! * [`reactor`] — the event-driven socket front end: a pool of epoll
+//!   reactor threads multiplexing the UDP socket and hundreds of
+//!   nonblocking TCP connections;
 //! * [`shard`] — the sharded live-path fabric: hash-by-connection
 //!   partitioner, per-shard SPSC rings with work-stealing handles, and
 //!   per-shard instruments;
@@ -34,12 +37,14 @@
 //! * [`views`] — the §4.5 monitoring views: frequency/temporal analysis
 //!   with burst detection, positional (per-rack) analysis, and
 //!   per-architecture anomaly comparison;
-//! * [`monitor`] — glue that runs a [`hetsyslog_core::TextClassifier`]
-//!   inside the ingest path for real-time classification.
+//! * [`monitor`] — the in-process driver that runs a
+//!   [`hetsyslog_core::TextClassifier`] inside the live path for real-time
+//!   classification, and the micro-batching counters.
 
 pub mod columnar;
 pub mod ingest;
 pub mod listener;
+mod live;
 pub mod monitor;
 pub mod query;
 pub mod reactor;

@@ -1,5 +1,5 @@
 //! The socket-facing ingest front end: fault-tolerant TCP + UDP syslog
-//! listeners over the parse/store pipeline.
+//! listeners feeding the one live path.
 //!
 //! The paper's Tivan substrate receives syslog from hundreds of
 //! heterogeneous Darwin nodes over the network (rsyslogd → Fluentd →
@@ -9,11 +9,15 @@
 //! * **Per-connection decoder state** — each TCP connection owns an RFC
 //!   6587 [`FrameDecoder`](syslog_model::FrameDecoder), so one sender's
 //!   corrupt framing never desynchronizes another's stream;
+//! * **One event-driven front end** — a small pool of epoll
+//!   [`reactor`](crate::reactor) threads multiplexes every TCP connection
+//!   and the UDP socket; there is no thread per peer and no poll timer;
 //! * **Sharded ingest fabric** — frames are partitioned hash-by-connection
 //!   (round-robin for UDP) across N [`shard`](crate::shard)s, each with its
-//!   own bounded SPSC ring, micro-batch worker, and store write lane, so
-//!   throughput scales with cores instead of serializing on one queue
-//!   lock; idle workers steal whole batches from skewed siblings;
+//!   own bounded SPSC ring, micro-batch worker, and store write lane (the
+//!   worker stage lives in `live.rs`, shared with the in-process
+//!   drivers), so throughput scales with cores instead of serializing on
+//!   one queue lock; idle workers steal whole batches from skewed siblings;
 //! * **Bounded ingest queue** (summed across the shard rings) with a
 //!   configurable [`OverloadPolicy`]:
 //!   `Block` applies lossless backpressure through the TCP window, `Shed`
@@ -23,40 +27,31 @@
 //!   flushed), so slow or dead peers cannot pin resources forever;
 //! * **Dead-letter ring** — the last N unparseable or shed frames are kept
 //!   for operator inspection instead of vanishing into a counter;
-//! * **Graceful drain** — [`SyslogListener::shutdown`] stops accepting,
-//!   joins every connection (flushing decoder tails), then drains the
-//!   queue through the parser workers before returning final stats.
+//! * **Graceful drain** — [`SyslogListener::shutdown`] stops the reactors
+//!   (flushing every decoder tail), then drains the queue through the
+//!   workers before returning final stats.
 
-use crate::monitor::{BatchStats, FlushReason};
-use crate::record::LogRecord;
-use crate::shard::{ShardRouter, ShardStats};
+use crate::live::LivePath;
+use crate::monitor::BatchStats;
+use crate::reactor::{ReactorFrontend, ReactorStats};
+use crate::shard::ShardStats;
 use crate::store::LogStore;
-use crossbeam::channel::{RecvTimeoutError, TrySendError};
-use hetsyslog_core::{BatchSnapshot, FrameOutcome, HealthSnapshot, IngestSnapshot, MonitorService};
+use hetsyslog_core::{HealthSnapshot, IngestSnapshot, MonitorService};
 use obs::{Counter, Gauge, Histogram, Registry, Telemetry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Which TCP front end feeds the shard fabric. Both produce bit-identical
-/// pipeline semantics (same per-connection FIFO order into the rings, same
-/// overload and dead-letter accounting, same decoder-tail flush on close);
-/// they differ only in how socket readiness is discovered.
+/// The TCP/UDP front end feeding the shard fabric: `threads` epoll
+/// reactor threads (`0` = auto), each multiplexing its share of the
+/// connections over level-triggered epoll — see [`crate::reactor`].
+/// Shutdown wakes the reactors through an eventfd, so `stop()` never
+/// waits out a poll interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Frontend {
-    /// One OS thread per accepted connection, blocking reads with a short
-    /// poll timeout. Simple and portable; kept as the escape hatch and as
-    /// the baseline the reactor is benchmarked against.
-    Threads,
-    /// Event-driven: `threads` reactor threads (`0` = auto), each
-    /// multiplexing its share of the connections over level-triggered
-    /// epoll — see [`crate::reactor`]. Shutdown wakes the reactors through
-    /// an eventfd, so `stop()` never waits out a poll interval.
+    /// The event-driven reactor pool.
     Reactor {
         /// Reactor thread count; `0` picks a small default.
         threads: usize,
@@ -70,12 +65,10 @@ impl Default for Frontend {
 }
 
 impl Frontend {
-    /// Reactor threads this front end runs (0 for the thread-per-conn
-    /// front end). Two reactors by default: enough to overlap accept
-    /// with reads, without claiming cores the parser workers need.
+    /// Reactor threads this front end runs. Two by default: enough to
+    /// overlap accept with reads, without claiming cores the workers need.
     pub fn reactor_threads(&self) -> usize {
         match self {
-            Frontend::Threads => 0,
             Frontend::Reactor { threads: 0 } => 2,
             Frontend::Reactor { threads } => *threads,
         }
@@ -116,8 +109,9 @@ impl DropReason {
     }
 }
 
-/// Identifies where a frame entered the listener. TCP connections get ids
-/// from 1; id 0 is the UDP socket.
+/// Identifies where a frame entered the live path. TCP connections get
+/// ids from 1; id 0 is the connectionless source — the UDP socket, and the
+/// in-process drivers, whose frames carry no ordering contract either.
 pub const UDP_SOURCE: u64 = 0;
 
 /// A frame the pipeline could not (or chose not to) ingest, kept for
@@ -144,23 +138,20 @@ impl DeadLetterRing {
     /// New ring holding at most `capacity` letters (detached counter — use
     /// [`DeadLetterRing::registered`] to export it).
     pub fn new(capacity: usize) -> DeadLetterRing {
-        DeadLetterRing {
-            capacity: capacity.max(1),
-            items: Mutex::new(VecDeque::with_capacity(capacity.max(1))),
-            total: Arc::new(Counter::default()),
-        }
+        DeadLetterRing::registered(capacity, &Registry::new())
     }
 
     /// A ring whose lifetime total is exported as
     /// `hetsyslog_dead_letters_total` on `registry`.
     pub fn registered(capacity: usize, registry: &Registry) -> DeadLetterRing {
         DeadLetterRing {
+            capacity: capacity.max(1),
+            items: Mutex::new(VecDeque::with_capacity(capacity.max(1))),
             total: registry.counter(
                 "hetsyslog_dead_letters_total",
                 "Frames dead-lettered (shed or unparseable), including evicted ones",
                 &[],
             ),
-            ..DeadLetterRing::new(capacity)
         }
     }
 
@@ -208,9 +199,9 @@ pub struct SourceCounters {
 /// [`IngestStats::snapshot`] to thread through
 /// [`MonitorService::health`](hetsyslog_core::MonitorService::health).
 ///
-/// `Default` builds detached instruments (recording works, nothing is
-/// exported); [`IngestStats::registered`] builds the same counters backed
-/// by a shared [`Registry`], so a `/metrics` scrape sees them live.
+/// [`IngestStats::registered`] builds the counters on a shared
+/// [`Registry`], so a `/metrics` scrape sees them live; `Default` builds
+/// the same counters detached (recording works, nothing is exported).
 #[derive(Debug)]
 pub struct IngestStats {
     /// Frames decoded off the wire (before parse).
@@ -235,35 +226,23 @@ pub struct IngestStats {
     pub udp_datagrams: Arc<Counter>,
     /// Raw bytes received on the UDP socket (also folded into `bytes`).
     pub udp_bytes: Arc<Counter>,
-    /// Datagrams that filled the receive buffer exactly — almost always a
-    /// sender whose payload was silently truncated by the kernel.
-    pub udp_truncated: Arc<Counter>,
+    /// Stored records that matched no RFC grammar and fell back to
+    /// free-form parsing — the heterogeneity signal.
+    pub free_form: Arc<Counter>,
+    /// `accept(2)` failures other than a drained backlog or a peer that
+    /// reset before the accept (fd exhaustion under a connect storm).
+    pub accept_errors: Arc<Counter>,
     /// Wall time spent in `FrameDecoder::push` per read(2).
-    decode_us: Arc<Histogram>,
+    pub(crate) decode_us: Arc<Histogram>,
     /// Frames sitting in the bounded ingest queue (sampled by workers).
-    queue_depth: Arc<Gauge>,
+    pub(crate) queue_depth: Arc<Gauge>,
     per_source: Mutex<HashMap<u64, SourceCounters>>,
 }
 
 impl Default for IngestStats {
+    /// Detached counters: registered on a registry nobody scrapes.
     fn default() -> IngestStats {
-        IngestStats {
-            frames: Arc::new(Counter::new()),
-            bytes: Arc::new(Counter::new()),
-            ingested: Arc::new(Counter::new()),
-            parse_errors: Arc::new(Counter::new()),
-            shed: Arc::new(Counter::new()),
-            decode_dropped: Arc::new(Counter::new()),
-            connections_opened: Arc::new(Counter::new()),
-            connections_closed: Arc::new(Counter::new()),
-            idle_closed: Arc::new(Counter::new()),
-            udp_datagrams: Arc::new(Counter::new()),
-            udp_bytes: Arc::new(Counter::new()),
-            udp_truncated: Arc::new(Counter::new()),
-            decode_us: Arc::new(Histogram::new()),
-            queue_depth: Arc::new(Gauge::new()),
-            per_source: Mutex::new(HashMap::new()),
-        }
+        IngestStats::registered(&Registry::new())
     }
 }
 
@@ -327,10 +306,14 @@ impl IngestStats {
                 "Raw bytes received on the UDP socket",
                 &[],
             ),
-            udp_truncated: registry.counter(
-                "hetsyslog_udp_truncated_total",
-                "Datagrams that filled the receive buffer exactly (likely \
-                 truncated by the kernel)",
+            free_form: registry.counter(
+                "hetsyslog_ingest_free_form_total",
+                "Stored records that matched no RFC grammar (free-form fallback)",
+                &[],
+            ),
+            accept_errors: registry.counter(
+                "hetsyslog_ingest_accept_errors_total",
+                "accept(2) failures that paused the accept loop",
                 &[],
             ),
             decode_us: registry.histogram(
@@ -353,11 +336,6 @@ impl IngestStats {
         let entry = map.entry(source).or_default();
         entry.frames += frames;
         entry.bytes += bytes;
-    }
-
-    /// Record one read(2)'s `FrameDecoder::push` wall time.
-    pub(crate) fn record_decode(&self, elapsed: Duration) {
-        self.decode_us.record_duration_us(elapsed);
     }
 
     /// Per-source counters, sorted by source id.
@@ -390,8 +368,7 @@ impl IngestStats {
 /// Listener tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ListenerConfig {
-    /// TCP front end: event-driven reactor (the default) or
-    /// thread-per-connection ([`Frontend::Threads`], the escape hatch).
+    /// The socket front end: how many reactor threads serve TCP and UDP.
     pub frontend: Frontend,
     /// Parser/store worker threads. Each worker owns one pipeline shard
     /// (its own SPSC ring and store lane), so this is also the default
@@ -409,15 +386,13 @@ pub struct ListenerConfig {
     pub overload: OverloadPolicy,
     /// Close a TCP connection after this long without a byte.
     pub idle_timeout: Duration,
-    /// How often blocked socket reads wake to check shutdown/idle state.
-    pub poll_interval: Duration,
     /// Dead-letter ring capacity.
     pub dead_letter_capacity: usize,
     /// Event time for frames without a parseable timestamp.
     pub fallback_time: i64,
     /// Largest micro-batch a worker assembles before one fused
-    /// parse → tokenize → CSR transform → batch-predict call. `1` keeps
-    /// the scalar per-frame path.
+    /// parse → tokenize → CSR transform → batch-predict call. `1` sends
+    /// batches of one frame through the same code.
     pub max_batch: usize,
     /// Longest a worker waits past a batch's first frame before flushing
     /// a partial batch; bounds per-frame tail latency under light load.
@@ -462,7 +437,6 @@ impl Default for ListenerConfig {
             queue_depth: 1024,
             overload: OverloadPolicy::Block,
             idle_timeout: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(10),
             dead_letter_capacity: 64,
             fallback_time: 0,
             max_batch: 64,
@@ -478,156 +452,121 @@ impl Default for ListenerConfig {
     }
 }
 
-/// A decoded frame tagged with its source connection and the instant it
-/// entered the queue (for queue→prediction latency accounting).
-struct WireFrame {
-    source: u64,
-    frame: String,
-    at: Instant,
-}
-
-/// The submit side shared by every socket thread: routes each frame to
-/// its pipeline shard, applies the overload policy against that shard's
-/// ring, and keeps the drop accounting in one place.
-#[derive(Clone)]
-pub(crate) struct FrameSink {
-    router: Arc<ShardRouter<WireFrame>>,
-    shard_stats: Arc<Vec<Arc<ShardStats>>>,
-    overload: OverloadPolicy,
-    stats: Arc<IngestStats>,
-    dead_letters: Arc<DeadLetterRing>,
-}
-
-impl FrameSink {
-    /// The shared ingest counters (the reactor front end accounts reads
-    /// through the exact instruments `serve_connection` uses).
-    pub(crate) fn ingest_stats(&self) -> &IngestStats {
-        &self.stats
-    }
-
-    /// The shard owning `source`'s frames: hash-by-connection for TCP (so
-    /// a connection's frames stay ordered on one ring), round-robin for
-    /// the connectionless UDP socket.
-    fn shard_for(&self, source: u64) -> usize {
-        if source == UDP_SOURCE {
-            self.router.partitioner().next_round_robin()
-        } else {
-            self.router.partitioner().shard_for_connection(source)
-        }
-    }
-
-    /// Offer one frame; returns `false` once the pipeline is gone.
-    pub(crate) fn submit(&self, source: u64, frame: String) -> bool {
-        self.stats.frames.inc();
-        let shard = self.shard_for(source);
-        let at = Instant::now();
-        match self.overload {
-            OverloadPolicy::Block => {
-                let ok = self
-                    .router
-                    .send(shard, WireFrame { source, frame, at })
-                    .is_ok();
-                if ok {
-                    self.shard_stats[shard].routed.inc();
-                }
-                ok
-            }
-            OverloadPolicy::Shed => {
-                match self.router.try_send(shard, WireFrame { source, frame, at }) {
-                    Ok(()) => {
-                        self.shard_stats[shard].routed.inc();
-                        true
-                    }
-                    Err(TrySendError::Full(wf)) => {
-                        self.stats.shed.inc();
-                        self.dead_letters.push(DeadLetter {
-                            reason: DropReason::QueueFull,
-                            source: wf.source,
-                            frame: wf.frame,
-                        });
-                        true
-                    }
-                    Err(TrySendError::Disconnected(_)) => false,
-                }
-            }
-        }
-    }
-
-    /// Offer every frame a read(2) produced in one bulk enqueue — one
-    /// ring lock per read instead of one per frame (all of a connection's
-    /// frames route to the same shard, so a read is still one enqueue).
-    /// Returns `false` once the pipeline is gone. Under `Shed`, frames
-    /// past the shard ring's momentary capacity go to the dead-letter
-    /// ring, exactly as with per-frame `submit`.
-    pub(crate) fn submit_many(&self, source: u64, frames: Vec<String>) -> bool {
-        if frames.is_empty() {
-            return true;
-        }
-        let offered = frames.len() as u64;
-        self.stats.frames.add(offered);
-        let shard = self.shard_for(source);
-        let at = Instant::now();
-        let wired = frames
-            .into_iter()
-            .map(|frame| WireFrame { source, frame, at });
-        match self.overload {
-            OverloadPolicy::Block => {
-                let ok = self.router.send_many(shard, wired).is_ok();
-                if ok {
-                    self.shard_stats[shard].routed.add(offered);
-                }
-                ok
-            }
-            OverloadPolicy::Shed => match self.router.try_send_many(shard, wired) {
-                Ok(rejected) => {
-                    self.shard_stats[shard]
-                        .routed
-                        .add(offered - rejected.len() as u64);
-                    self.stats.shed.add(rejected.len() as u64);
-                    for wf in rejected {
-                        self.dead_letters.push(DeadLetter {
-                            reason: DropReason::QueueFull,
-                            source: wf.source,
-                            frame: wf.frame,
-                        });
-                    }
-                    true
-                }
-                Err(_) => false,
-            },
-        }
-    }
-}
-
 /// The running listener. Bind with [`SyslogListener::start`], feed it over
 /// loopback TCP/UDP, then [`SyslogListener::shutdown`] for a graceful
-/// drain.
+/// drain. It owns exactly `reactor_threads + workers` ingest threads.
 pub struct SyslogListener {
     tcp_addr: SocketAddr,
     udp_addr: SocketAddr,
-    stats: Arc<IngestStats>,
-    dead_letters: Arc<DeadLetterRing>,
-    batch_stats: Arc<BatchStats>,
-    shard_stats: Arc<Vec<Arc<ShardStats>>>,
+    path: LivePath,
     service: Option<Arc<MonitorService>>,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    reactor: Option<crate::reactor::ReactorFrontend>,
-    reactor_stats: Arc<Vec<Arc<crate::reactor::ReactorStats>>>,
-    udp_thread: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    worker_threads: Vec<JoinHandle<()>>,
-    router: Option<Arc<ShardRouter<WireFrame>>>,
-    metrics_server: Option<obs::MetricsServer>,
-    sampler: Option<obs::Sampler>,
-    alert_engine: Option<Arc<obs::AlertEngine>>,
+    reactor: ReactorFrontend,
+    reactor_stats: Arc<Vec<Arc<ReactorStats>>>,
+    endpoints: TelemetryEndpoints,
     fan_out: Option<Arc<crate::sink::FanOut>>,
 }
 
+/// The read-only side channels of a listener with telemetry attached: the
+/// flight recorder, its alert engine, and the scrape endpoint.
+#[derive(Default)]
+struct TelemetryEndpoints {
+    sampler: Option<obs::Sampler>,
+    alert_engine: Option<Arc<obs::AlertEngine>>,
+    metrics_server: Option<obs::MetricsServer>,
+}
+
+impl TelemetryEndpoints {
+    fn start(
+        config: &ListenerConfig,
+        path: &LivePath,
+        service: &Option<Arc<MonitorService>>,
+    ) -> std::io::Result<TelemetryEndpoints> {
+        let Some(t) = &config.telemetry else {
+            return Ok(TelemetryEndpoints::default());
+        };
+        // The flight recorder: a background sampler scraping the shared
+        // registry into per-series rings, with the alert engine evaluated
+        // against the fresh window after every sweep. Purely a reader of
+        // the registry — it adds no instruments and no work to the hot
+        // path beyond one periodic gather().
+        let (sampler, alert_engine) = if config.record_flight {
+            let engine = Arc::new(obs::AlertEngine::new(config.alert_rules.clone()));
+            let sampler = obs::Sampler::start(
+                t.registry.clone(),
+                obs::SamplerConfig {
+                    interval: config.flight_interval,
+                    capacity: config.flight_capacity,
+                },
+                Some(engine.clone()),
+            );
+            (Some(sampler), Some(engine))
+        } else {
+            (None, None)
+        };
+        // The scrape endpoint rides on the same runtime: `/metrics` is the
+        // registry's Prometheus rendering; `/health` serializes the same
+        // HealthSnapshot the API returns; `/spans` dumps recent slow
+        // spans; `/alerts` and `/flight` expose the flight recorder.
+        let metrics_server = if config.serve_metrics {
+            let health_stats = path.stats.clone();
+            let health_batches = path.batch_stats.clone();
+            let health_service = service.clone();
+            let health = obs::Route::new("/health", "application/json", move || {
+                let ingest = health_stats.snapshot();
+                let batching = health_batches.snapshot();
+                let snapshot = match &health_service {
+                    Some(s) => s.health_with_batching(ingest, batching),
+                    None => HealthSnapshot {
+                        ingest,
+                        batching,
+                        ..HealthSnapshot::default()
+                    },
+                };
+                serde_json::to_string(&snapshot).unwrap_or_default()
+            });
+            let span_log = t.spans.clone();
+            let spans_route =
+                obs::Route::new("/spans", "application/json", move || span_log.render_json());
+            let mut routes = vec![health, spans_route];
+            if let Some(engine) = alert_engine.clone() {
+                routes.push(obs::Route::new("/alerts", "application/json", move || {
+                    engine.render_json()
+                }));
+            }
+            if let Some(sampler) = &sampler {
+                let flight = sampler.store();
+                routes.push(obs::Route::new("/flight", "application/json", move || {
+                    flight.export_json()
+                }));
+            }
+            Some(obs::MetricsServer::start(t.registry.clone(), routes)?)
+        } else {
+            None
+        };
+        Ok(TelemetryEndpoints {
+            sampler,
+            alert_engine,
+            metrics_server,
+        })
+    }
+
+    /// Sampler first, so the final drained counter values land in the
+    /// flight ring before the timeline freezes.
+    fn stop(&mut self) {
+        if let Some(sampler) = &mut self.sampler {
+            sampler.stop();
+        }
+        if let Some(server) = &mut self.metrics_server {
+            server.stop();
+        }
+    }
+}
+
 impl SyslogListener {
-    /// Bind TCP + UDP listeners on ephemeral loopback ports and start the
-    /// accept loop and parser workers. Pass a [`MonitorService`] to
-    /// classify records in flight (`None` stores them unclassified).
+    /// Bind TCP + UDP sockets on ephemeral loopback ports, start the live
+    /// path's workers, and put both sockets under the reactor pool. Pass a
+    /// [`MonitorService`] to classify records in flight (`None` stores
+    /// them unclassified).
     pub fn start(
         store: Arc<LogStore>,
         service: Option<Arc<MonitorService>>,
@@ -646,496 +585,39 @@ impl SyslogListener {
         let _ = netpoll::set_listen_backlog(&tcp, 1024);
         tcp.set_nonblocking(true)?;
         let udp = UdpSocket::bind("127.0.0.1:0")?;
-        udp.set_read_timeout(Some(config.poll_interval))?;
+        udp.set_nonblocking(true)?;
         let tcp_addr = tcp.local_addr()?;
         let udp_addr = udp.local_addr()?;
 
-        // With telemetry attached, every layer registers on the shared
-        // registry so one `/metrics` scrape sees the whole pipeline;
-        // without it, the exact same counters run detached.
-        let telemetry = config.telemetry.clone();
-        let (stats, dead_letters, batch_stats) = match &telemetry {
-            Some(t) => {
-                store.attach_telemetry(&t.registry);
-                if let Some(service) = &service {
-                    service.attach_telemetry(&t.registry);
-                }
-                (
-                    Arc::new(IngestStats::registered(&t.registry)),
-                    Arc::new(DeadLetterRing::registered(
-                        config.dead_letter_capacity,
-                        &t.registry,
-                    )),
-                    Arc::new(BatchStats::registered(&t.registry)),
-                )
-            }
-            None => (
-                Arc::new(IngestStats::default()),
-                Arc::new(DeadLetterRing::new(config.dead_letter_capacity)),
-                Arc::new(BatchStats::new()),
-            ),
-        };
-        let spans = telemetry.as_ref().map(|t| t.spans.clone());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let path = LivePath::start(store, service.clone(), &config);
 
-        // The shard fabric: one SPSC ring + one micro-batch worker per
-        // shard (one shard per worker unless overridden), with the
-        // configured queue depth split across the rings. The store gets
-        // one write lane per shard when it has them; a single-lane store
-        // still works, shards just share lane 0.
-        let shards = if config.shards > 0 {
-            config.shards
-        } else {
-            config.workers.max(1)
-        };
-        let (router, receivers) = ShardRouter::<WireFrame>::build(shards, config.queue_depth);
-        let router = Arc::new(router);
-        let shard_stats: Arc<Vec<Arc<ShardStats>>> = Arc::new(match &telemetry {
-            Some(t) => (0..shards)
-                .map(|k| Arc::new(ShardStats::registered(k, &t.registry)))
+        // Everything downstream of the sockets — shard routing, overload
+        // policy, dead letters, the drain — sits behind the FrameSink the
+        // reactors feed.
+        let detached = Registry::new();
+        let registry = config.telemetry.as_ref().map_or(&detached, |t| &t.registry);
+        let reactor_stats: Arc<Vec<Arc<ReactorStats>>> = Arc::new(
+            (0..config.frontend.reactor_threads())
+                .map(|k| Arc::new(ReactorStats::registered(k, registry)))
                 .collect(),
-            None => (0..shards)
-                .map(|_| Arc::new(ShardStats::detached()))
-                .collect(),
-        });
-
-        // Per-shard workers: each drains its own ring until the producers
-        // are gone. With `max_batch > 1` and a classifier attached, the
-        // worker runs the drain-up-to-B-or-deadline-T loop: the first
-        // frame blocks on the ring, the batch then fills until `max_batch`
-        // frames or `max_delay` elapses, and the whole batch goes through
-        // one fused `MonitorService::ingest_frames` call and one
-        // lane-affine store insert. An idle worker whose poll times out
-        // steals a whole contiguous batch from the deepest sibling ring
-        // whose backlog reached a full batch, so one hot connection can't
-        // cap throughput at 1/N. The ring hanging up mid-fill flushes the
-        // partial batch, so a graceful drain loses nothing.
-        let max_batch = config.max_batch.max(1);
-        let max_delay = config.max_delay;
-        // A sibling is "skewed" once its backlog would fill a whole batch
-        // (or its ring, if the ring is smaller): stealing below that costs
-        // a lock to move frames the owner was about to drain anyway.
-        let steal_threshold = max_batch.min(router.shard_capacity()).max(1);
-        let idle_poll = max_delay.max(Duration::from_millis(1));
-        let mut worker_threads = Vec::new();
-        for receiver in receivers {
-            let store = store.clone();
-            let service = service.clone();
-            let stats = stats.clone();
-            let dead_letters = dead_letters.clone();
-            let batch_stats = batch_stats.clone();
-            let my_stats = shard_stats[receiver.shard].clone();
-            let spans = spans.clone();
-            let fallback_time = config.fallback_time;
-            let fan_out = config.fan_out.clone();
-            worker_threads.push(std::thread::spawn(move || {
-                let shard = receiver.shard;
-                let batched_service = if max_batch > 1 { service.clone() } else { None };
-                let mut batch: Vec<WireFrame> = Vec::with_capacity(max_batch);
-                loop {
-                    batch.clear();
-                    // Assemble one batch: drained from the own ring (with
-                    // the drain's flush reason) or stolen whole from a
-                    // skewed sibling.
-                    let (reason, fill_latency, stolen_from) =
-                        match receiver.own.recv_deadline(Instant::now() + idle_poll) {
-                            Ok(first) => {
-                                let fill_started = Instant::now();
-                                batch.push(first);
-                                let status = receiver.own.drain_into(
-                                    &mut batch,
-                                    max_batch,
-                                    fill_started + max_delay,
-                                );
-                                (
-                                    FlushReason::from_drain(status),
-                                    fill_started.elapsed(),
-                                    None,
-                                )
-                            }
-                            Err(RecvTimeoutError::Timeout) => {
-                                match receiver.steal_batch(&mut batch, max_batch, steal_threshold) {
-                                    Some((victim, stolen)) => {
-                                        my_stats.steals.inc();
-                                        my_stats.stolen_frames.add(stolen as u64);
-                                        // A steal is triggered by backlog,
-                                        // so a full claim reads as Full; a
-                                        // race with the owner's drain can
-                                        // leave less, which reads as a
-                                        // deadline flush (the frames were
-                                        // flushed because they waited).
-                                        let reason = if stolen >= max_batch {
-                                            FlushReason::Full
-                                        } else {
-                                            FlushReason::Deadline
-                                        };
-                                        (reason, Duration::ZERO, Some(victim))
-                                    }
-                                    None => continue,
-                                }
-                            }
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        };
-
-                    // Sample queue depths at batch pickup: this shard's
-                    // ring, and the aggregate across the whole fabric.
-                    let own_depth = receiver.own.len();
-                    my_stats.queue_depth.set(own_depth as i64);
-                    let total_depth: usize = own_depth
-                        + receiver
-                            .siblings
-                            .iter()
-                            .map(|(_, s)| s.len())
-                            .sum::<usize>();
-                    stats.queue_depth.set(total_depth as i64);
-
-                    let size = batch.len();
-                    my_stats.processed.add(size as u64);
-                    my_stats.batch_frames.record(size as u64);
-
-                    let Some(batched_service) = &batched_service else {
-                        // Scalar path: `max_batch = 1` (the honest bench
-                        // baseline) or no classifier attached. Per-frame
-                        // parse + classify, recorded as size-1 batches so
-                        // the histogram invariants hold for every
-                        // configuration.
-                        for wf in batch.drain(..) {
-                            let mut classified = 0u64;
-                            match syslog_model::parse(&wf.frame) {
-                                Ok(msg) => {
-                                    let mut record = LogRecord::from_message(
-                                        store.allocate_id(),
-                                        &msg,
-                                        fallback_time,
-                                    );
-                                    if let Some(service) = &service {
-                                        if let Some(prediction) = service.ingest(&record.message) {
-                                            record.category = Some(prediction.category);
-                                            classified = 1;
-                                        }
-                                    }
-                                    if let Some(fan_out) = &fan_out {
-                                        fan_out.submit(std::slice::from_ref(&record));
-                                    }
-                                    store.insert(record);
-                                    stats.ingested.inc();
-                                }
-                                Err(_) => {
-                                    stats.parse_errors.inc();
-                                    dead_letters.push(DeadLetter {
-                                        reason: DropReason::ParseError,
-                                        source: wf.source,
-                                        frame: wf.frame,
-                                    });
-                                }
-                            }
-                            batch_stats.record_flush(
-                                1,
-                                classified,
-                                Duration::ZERO,
-                                FlushReason::Full,
-                            );
-                            batch_stats.record_queue_latency(wf.at.elapsed());
-                        }
-                        continue;
-                    };
-
-                    // One root span per batch (never per frame): tagged
-                    // with the batch size (and steal provenance), with
-                    // classify / store_insert children. Only slow ones are
-                    // retained by the ring.
-                    let mut root = spans.as_ref().map(|s| s.span("batch"));
-                    let texts: Vec<&str> = batch.iter().map(|wf| wf.frame.as_str()).collect();
-                    let classify_started = Instant::now();
-                    let outcomes = {
-                        let _classify = root.as_ref().map(|r| r.child("classify"));
-                        batched_service.ingest_frames(&texts)
-                    };
-                    my_stats
-                        .classify_us
-                        .record_duration_us(classify_started.elapsed());
-                    if let Some(root) = root.as_mut() {
-                        root.set_tag(match stolen_from {
-                            Some(victim) => format!("size={size} stolen_from={victim}"),
-                            None => format!("size={size}"),
-                        });
-                    }
-                    let mut classified = 0u64;
-                    let mut records: Vec<LogRecord> = Vec::with_capacity(size);
-                    for (wf, outcome) in batch.drain(..).zip(outcomes) {
-                        match outcome {
-                            FrameOutcome::Classified {
-                                message,
-                                prediction,
-                            } => {
-                                classified += 1;
-                                let mut record = LogRecord::from_message_owned(
-                                    store.allocate_id(),
-                                    message,
-                                    fallback_time,
-                                );
-                                record.category = Some(prediction.category);
-                                records.push(record);
-                            }
-                            FrameOutcome::Prefiltered { message } => {
-                                records.push(LogRecord::from_message_owned(
-                                    store.allocate_id(),
-                                    message,
-                                    fallback_time,
-                                ));
-                            }
-                            FrameOutcome::ParseError => {
-                                stats.parse_errors.inc();
-                                dead_letters.push(DeadLetter {
-                                    reason: DropReason::ParseError,
-                                    source: wf.source,
-                                    frame: wf.frame,
-                                });
-                            }
-                        }
-                        batch_stats.record_queue_latency(wf.at.elapsed());
-                    }
-                    // One lane-lock acquisition and one counter update for
-                    // the whole batch: shard k writes lane k, which no
-                    // other pipeline shard ever locks (store affinity).
-                    let stored = records.len() as u64;
-                    // Fan the classified batch out to the sink lanes
-                    // before the store consumes it (each lane clones its
-                    // own copy; overload is handled per lane).
-                    if let Some(fan_out) = &fan_out {
-                        fan_out.submit(&records);
-                    }
-                    {
-                        let _insert = root.as_ref().map(|r| r.child("store_insert"));
-                        let insert_started = Instant::now();
-                        store.insert_batch_affine(shard, records);
-                        my_stats
-                            .insert_us
-                            .record_duration_us(insert_started.elapsed());
-                    }
-                    stats.ingested.add(stored);
-                    batch_stats.record_flush(size, classified, fill_latency, reason);
-                }
-            }));
-        }
-
-        let sink = FrameSink {
-            router: router.clone(),
-            shard_stats: shard_stats.clone(),
-            overload: config.overload,
-            stats: stats.clone(),
-            dead_letters: dead_letters.clone(),
-        };
-
-        // UDP: one datagram = one frame, no framing state to keep.
-        let udp_thread = {
-            let sink = sink.clone();
-            let shutdown = shutdown.clone();
-            std::thread::spawn(move || {
-                let mut buf = vec![0u8; 64 * 1024];
-                while !shutdown.load(Ordering::Relaxed) {
-                    match udp.recv_from(&mut buf) {
-                        Ok((n, _peer)) => {
-                            sink.stats.bytes.add(n as u64);
-                            sink.stats.udp_datagrams.inc();
-                            sink.stats.udp_bytes.add(n as u64);
-                            // recv_from silently truncates oversized
-                            // datagrams to the buffer; a read that fills
-                            // the buffer exactly is indistinguishable
-                            // from one, so it's counted as such.
-                            if n == buf.len() {
-                                sink.stats.udp_truncated.inc();
-                            }
-                            sink.stats.add_source(UDP_SOURCE, 1, n as u64);
-                            let frame = String::from_utf8_lossy(&buf[..n])
-                                .trim_end_matches(['\r', '\n'])
-                                .to_string();
-                            if !sink.submit(UDP_SOURCE, frame) {
-                                break;
-                            }
-                        }
-                        Err(e)
-                            if e.kind() == ErrorKind::WouldBlock
-                                || e.kind() == ErrorKind::TimedOut =>
-                        {
-                            continue;
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-        };
-
-        // The TCP front end: event-driven reactor pool by default, with
-        // the thread-per-connection loop kept as the escape hatch. Both
-        // feed the exact same FrameSink, so everything downstream of the
-        // socket — shard routing, overload policy, dead letters, the
-        // drain — is front-end agnostic.
-        let reactor_stats: Arc<Vec<Arc<crate::reactor::ReactorStats>>> =
-            Arc::new(match &telemetry {
-                Some(t) => (0..config.frontend.reactor_threads())
-                    .map(|k| Arc::new(crate::reactor::ReactorStats::registered(k, &t.registry)))
-                    .collect(),
-                None => (0..config.frontend.reactor_threads())
-                    .map(|_| Arc::new(crate::reactor::ReactorStats::detached()))
-                    .collect(),
-            });
-        let (accept_thread, reactor) = match config.frontend {
-            Frontend::Reactor { .. } => {
-                let frontend = crate::reactor::ReactorFrontend::start(
-                    tcp,
-                    sink,
-                    shutdown.clone(),
-                    config.idle_timeout,
-                    reactor_stats.iter().cloned().collect(),
-                )?;
-                (None, Some(frontend))
-            }
-            Frontend::Threads => {
-                // TCP accept loop: nonblocking + poll so shutdown never
-                // hangs in accept(2).
-                let sink_template = sink;
-                let shutdown = shutdown.clone();
-                let conn_threads = conn_threads.clone();
-                let next_conn_id = AtomicU64::new(1);
-                let idle_timeout = config.idle_timeout;
-                let poll_interval = config.poll_interval;
-                let handle = std::thread::spawn(move || {
-                    while !shutdown.load(Ordering::Relaxed) {
-                        match tcp.accept() {
-                            Ok((stream, _peer)) => {
-                                let conn_id = next_conn_id.fetch_add(1, Ordering::Relaxed);
-                                sink_template.stats.connections_opened.inc();
-                                let sink = sink_template.clone();
-                                let shutdown = shutdown.clone();
-                                let handle = std::thread::spawn(move || {
-                                    serve_connection(
-                                        stream,
-                                        conn_id,
-                                        sink,
-                                        shutdown,
-                                        idle_timeout,
-                                        poll_interval,
-                                    );
-                                });
-                                // Reap finished connection threads before
-                                // tracking the new one, so the vec stays
-                                // bounded by the number of live
-                                // connections under churn instead of
-                                // growing for the listener's lifetime.
-                                let mut conns = conn_threads.lock();
-                                let mut i = 0;
-                                while i < conns.len() {
-                                    if conns[i].is_finished() {
-                                        let finished = conns.swap_remove(i);
-                                        let _ = finished.join();
-                                    } else {
-                                        i += 1;
-                                    }
-                                }
-                                conns.push(handle);
-                            }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                                std::thread::sleep(poll_interval);
-                            }
-                            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                            // Transient accept failures (ECONNABORTED when
-                            // a queued peer resets before accept(2) under a
-                            // connect storm, fd-limit pressure) must not
-                            // kill the accept loop and strand every later
-                            // connection; back off briefly and keep going.
-                            Err(_) => std::thread::sleep(poll_interval),
-                        }
-                    }
-                });
-                (Some(handle), None)
-            }
-        };
-
-        // The flight recorder: a background sampler scraping the shared
-        // registry into per-series rings, with the alert engine evaluated
-        // against the fresh window after every sweep. Purely a reader of
-        // the registry — it adds no instruments and no work to the hot
-        // path beyond one periodic gather().
-        let (sampler, alert_engine) = match (&telemetry, config.record_flight) {
-            (Some(t), true) => {
-                let engine = Arc::new(obs::AlertEngine::new(config.alert_rules.clone()));
-                let sampler = obs::Sampler::start(
-                    t.registry.clone(),
-                    obs::SamplerConfig {
-                        interval: config.flight_interval,
-                        capacity: config.flight_capacity,
-                    },
-                    Some(engine.clone()),
-                );
-                (Some(sampler), Some(engine))
-            }
-            _ => (None, None),
-        };
-
-        // The scrape endpoint rides on the same runtime: `/metrics` is the
-        // registry's Prometheus rendering; `/health` serializes the same
-        // HealthSnapshot the API returns; `/spans` dumps recent slow
-        // spans; `/alerts` and `/flight` expose the flight recorder.
-        let metrics_server = match (&telemetry, config.serve_metrics) {
-            (Some(t), true) => {
-                let health_stats = stats.clone();
-                let health_batches = batch_stats.clone();
-                let health_service = service.clone();
-                let health = obs::Route::new("/health", "application/json", move || {
-                    let ingest = health_stats.snapshot();
-                    let batching = health_batches.snapshot();
-                    let snapshot = match &health_service {
-                        Some(s) => s.health_with_batching(ingest, batching),
-                        None => HealthSnapshot {
-                            ingest,
-                            batching,
-                            ..HealthSnapshot::default()
-                        },
-                    };
-                    serde_json::to_string(&snapshot).unwrap_or_default()
-                });
-                let span_log = t.spans.clone();
-                let spans_route =
-                    obs::Route::new("/spans", "application/json", move || span_log.render_json());
-                let mut routes = vec![health, spans_route];
-                if let Some(engine) = &alert_engine {
-                    let engine = engine.clone();
-                    routes.push(obs::Route::new("/alerts", "application/json", move || {
-                        engine.render_json()
-                    }));
-                }
-                if let Some(sampler) = &sampler {
-                    let flight = sampler.store();
-                    routes.push(obs::Route::new("/flight", "application/json", move || {
-                        flight.export_json()
-                    }));
-                }
-                Some(obs::MetricsServer::start(t.registry.clone(), routes)?)
-            }
-            _ => None,
-        };
+        );
+        let reactor = ReactorFrontend::start(
+            tcp,
+            udp,
+            path.sink().clone(),
+            config.idle_timeout,
+            reactor_stats.iter().cloned().collect(),
+        )?;
+        let endpoints = TelemetryEndpoints::start(&config, &path, &service)?;
 
         Ok(SyslogListener {
             tcp_addr,
             udp_addr,
-            stats,
-            dead_letters,
-            batch_stats,
-            shard_stats,
+            path,
             service,
-            shutdown,
-            accept_thread,
             reactor,
             reactor_stats,
-            udp_thread: Some(udp_thread),
-            conn_threads,
-            worker_threads,
-            router: Some(router),
-            metrics_server,
-            sampler,
-            alert_engine,
+            endpoints,
             fan_out: config.fan_out,
         })
     }
@@ -1153,126 +635,85 @@ impl SyslogListener {
     /// Address of the metrics/health HTTP endpoint, when
     /// [`ListenerConfig::serve_metrics`] was set alongside `telemetry`.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.metrics_server.as_ref().map(|s| s.addr())
+        self.endpoints.metrics_server.as_ref().map(|s| s.addr())
     }
 
     /// Live ingest counters.
     pub fn stats(&self) -> &IngestStats {
-        &self.stats
+        &self.path.stats
     }
 
     /// The flight recorder's ring store, when the sampler is running.
     /// The handle stays valid across [`SyslogListener::shutdown`] for
     /// post-drain timeline export.
     pub fn flight_store(&self) -> Option<Arc<obs::TimeSeriesStore>> {
-        self.sampler.as_ref().map(|s| s.store())
+        self.endpoints.sampler.as_ref().map(|s| s.store())
     }
 
     /// The alert engine evaluated by the flight recorder, when running.
     pub fn alert_engine(&self) -> Option<Arc<obs::AlertEngine>> {
-        self.alert_engine.clone()
+        self.endpoints.alert_engine.clone()
     }
 
     /// The dead-letter ring.
     pub fn dead_letters(&self) -> &DeadLetterRing {
-        &self.dead_letters
+        &self.path.dead_letters
     }
 
-    /// Micro-batching counters: batch sizes, fill latencies,
-    /// queue→prediction latencies, flush reasons.
-    pub fn batch_stats(&self) -> BatchSnapshot {
-        self.batch_stats.snapshot()
-    }
-
-    /// A handle to the live micro-batching counters that stays valid
+    /// A handle to the live micro-batching counters (batch sizes, fill
+    /// and queue→prediction latencies, flush reasons). It stays valid
     /// across [`SyslogListener::shutdown`], so callers can read the final
-    /// histograms after the graceful drain completes.
+    /// values after the graceful drain completes.
     pub fn batch_stats_handle(&self) -> Arc<BatchStats> {
-        self.batch_stats.clone()
+        self.path.batch_stats.clone()
     }
 
     /// Per-shard instruments, indexed by shard. The handle stays valid
     /// across [`SyslogListener::shutdown`] for post-drain accounting.
     pub fn shard_stats_handle(&self) -> Arc<Vec<Arc<ShardStats>>> {
-        self.shard_stats.clone()
+        self.path.shard_stats.clone()
     }
 
     /// Number of pipeline shards this listener runs.
     pub fn n_shards(&self) -> usize {
-        self.shard_stats.len()
+        self.path.shard_stats.len()
     }
 
-    /// Reactor threads serving TCP (0 when the thread-per-connection
-    /// front end is active).
+    /// Reactor threads serving the sockets.
     pub fn n_reactors(&self) -> usize {
         self.reactor_stats.len()
     }
 
-    /// Per-reactor instruments, indexed by reactor. Empty for the
-    /// thread-per-connection front end; stays valid across
+    /// Per-reactor instruments, indexed by reactor. Stays valid across
     /// [`SyslogListener::shutdown`] for post-drain accounting.
-    pub fn reactor_stats_handle(&self) -> Arc<Vec<Arc<crate::reactor::ReactorStats>>> {
+    pub fn reactor_stats_handle(&self) -> Arc<Vec<Arc<ReactorStats>>> {
         self.reactor_stats.clone()
-    }
-
-    /// Connection-thread handles currently tracked by the
-    /// thread-per-connection front end (always 0 under the reactor).
-    /// Finished handles are reaped opportunistically at every accept, so
-    /// under churn this stays bounded by the live connection count.
-    pub fn conn_thread_count(&self) -> usize {
-        self.conn_threads.lock().len()
-    }
-
-    /// Per-sink delivery ledgers, when a fan-out is attached. The handle
-    /// inside [`ListenerConfig::fan_out`] stays valid across
-    /// [`SyslogListener::shutdown`] for post-drain accounting.
-    pub fn sink_snapshots(&self) -> Option<Vec<crate::sink::SinkSnapshot>> {
-        self.fan_out.as_ref().map(|f| f.snapshots())
     }
 
     /// Combined transport + classification health, when a
     /// [`MonitorService`] is attached.
     pub fn health(&self) -> Option<HealthSnapshot> {
-        self.service
-            .as_ref()
-            .map(|service| service.health_with_batching(self.stats.snapshot(), self.batch_stats()))
+        self.service.as_ref().map(|service| {
+            service
+                .health_with_batching(self.path.stats.snapshot(), self.path.batch_stats.snapshot())
+        })
     }
 
-    /// Graceful drain: stop accepting, join every connection thread (each
-    /// flushes its decoder tail on the way out), close the queue, join the
-    /// parser workers after they empty it, and return the final counters.
+    /// Graceful drain: stop the reactors (each flushes its connections'
+    /// decoder tails on the way out), close the queue, join the workers
+    /// after they empty it, and return the final counters.
     pub fn shutdown(mut self) -> IngestSnapshot {
         self.stop();
-        self.stats.snapshot()
+        self.path.stats.snapshot()
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        // Reactor front end: the eventfd wake interrupts epoll_wait
-        // immediately (no poll-interval latency); each reactor flushes
-        // its connections' decoder tails before joining.
-        if let Some(mut reactor) = self.reactor.take() {
-            reactor.stop();
-        }
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        // After the accept loop exits, no new connection threads appear.
-        let conns: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conn_threads.lock());
-        for handle in conns {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.udp_thread.take() {
-            let _ = handle.join();
-        }
-        // Every socket thread is gone; dropping the router drops every
-        // shard's producer, letting each worker drain its ring (and its
-        // siblings' leftovers stay with their own workers) before
-        // observing the hangup.
-        drop(self.router.take());
-        for handle in self.worker_threads.drain(..) {
-            let _ = handle.join();
-        }
+        // The eventfd wake interrupts epoll_wait immediately; once the
+        // reactors are joined, every feeder's FrameSink clone is gone.
+        self.reactor.stop();
+        // Dropping the router then hangs up every shard's producer,
+        // letting each worker drain its ring before observing the hangup.
+        self.path.finish();
         // Workers are gone, so every stored batch has been fanned out.
         // The drain now extends downstream: wait for sink acks or spill
         // the remainder durably, so shutdown never strands an in-flight
@@ -1281,14 +722,7 @@ impl SyslogListener {
         if let Some(fan_out) = &self.fan_out {
             fan_out.shutdown(Duration::from_secs(5));
         }
-        // Sampler last among the data paths so the final drained counter
-        // values land in the flight ring before the timeline freezes.
-        if let Some(sampler) = &mut self.sampler {
-            sampler.stop();
-        }
-        if let Some(server) = &mut self.metrics_server {
-            server.stop();
-        }
+        self.endpoints.stop();
     }
 }
 
@@ -1296,76 +730,6 @@ impl Drop for SyslogListener {
     fn drop(&mut self) {
         self.stop();
     }
-}
-
-/// One TCP connection: read with a short poll timeout, decode through a
-/// per-connection [`FrameDecoder`](syslog_model::FrameDecoder), enforce the
-/// idle deadline, and flush the decoder tail when the peer goes away (or
-/// the listener shuts down).
-fn serve_connection(
-    mut stream: std::net::TcpStream,
-    conn_id: u64,
-    sink: FrameSink,
-    shutdown: Arc<AtomicBool>,
-    idle_timeout: Duration,
-    poll_interval: Duration,
-) {
-    let _ = stream.set_read_timeout(Some(poll_interval));
-    let mut decoder = syslog_model::FrameDecoder::new();
-    let mut decoder_dropped = 0u64;
-    let mut last_activity = Instant::now();
-    // A large read buffer turns a backlogged stream into few big reads,
-    // and each read's frames go to the queue in one bulk submit.
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut idled_out = false;
-
-    'read: while !shutdown.load(Ordering::Relaxed) {
-        match stream.read(&mut buf) {
-            Ok(0) => break, // EOF: peer closed cleanly.
-            Ok(n) => {
-                last_activity = Instant::now();
-                sink.stats.bytes.add(n as u64);
-                let decode_started = Instant::now();
-                let frames = decoder.push(&buf[..n]);
-                sink.stats
-                    .decode_us
-                    .record_duration_us(decode_started.elapsed());
-                let dropped_now = decoder.dropped() - decoder_dropped;
-                if dropped_now > 0 {
-                    decoder_dropped = decoder.dropped();
-                    sink.stats.decode_dropped.add(dropped_now);
-                }
-                sink.stats
-                    .add_source(conn_id, frames.len() as u64, n as u64);
-                if !sink.submit_many(conn_id, frames) {
-                    break 'read;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if last_activity.elapsed() >= idle_timeout {
-                    idled_out = true;
-                    break;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-    }
-
-    // Flush the decoder tail: an unterminated trailing frame still counts
-    // (its octet-count prefix, if any, is stripped by `finish`).
-    if let Some(tail) = decoder.finish() {
-        sink.stats.add_source(conn_id, 1, 0);
-        sink.submit(conn_id, tail);
-    }
-    let dropped_now = decoder.dropped() - decoder_dropped;
-    if dropped_now > 0 {
-        sink.stats.decode_dropped.add(dropped_now);
-    }
-    if idled_out {
-        sink.stats.idle_closed.inc();
-    }
-    sink.stats.connections_closed.inc();
 }
 
 #[cfg(test)]

@@ -2,14 +2,10 @@
 //! paper's Future Work aims at: "deploying our trained models on the new
 //! data we stored in our collection system".
 
-use crate::record::LogRecord;
+use crate::live::LivePath;
 use crate::store::LogStore;
-use crossbeam::channel::{self, DrainStatus};
-use hetsyslog_core::{
-    BatchSnapshot, FrameOutcome, MonitorService, TextClassifier, BATCH_SIZE_BUCKETS,
-    LATENCY_BUCKETS,
-};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crossbeam::channel::DrainStatus;
+use hetsyslog_core::{BatchSnapshot, MonitorService};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,16 +32,13 @@ impl FlushReason {
     }
 }
 
-/// Shared, lock-free counters for a micro-batching stage: batch sizes,
+/// Shared, lock-free counters for the micro-batching stage: batch sizes,
 /// fill latencies, queue→prediction latencies, and flush reasons. Owned by
-/// the batch-draining worker loops ([`crate::listener::SyslogListener`],
-/// [`ClassifyingIngest`]); snapshots into the core wire format
+/// the live path's shard workers; snapshots into the core wire format
 /// ([`BatchSnapshot`]) for [`hetsyslog_core::HealthSnapshot`].
 ///
-/// Internally the histograms are fine-grained `obs` log-linear histograms.
-/// [`BatchStats::snapshot`] folds them into the legacy log₂ arrays exactly
-/// (no `obs` bucket straddles a power of two), so the wire format is
-/// bit-identical to the old atomic-array implementation while
+/// The histograms are `obs` log-linear histograms (≤ 12.5 % bucket
+/// width); [`BatchStats::snapshot`] reports their p50/p99, and
 /// [`BatchStats::registered`] exposes the same instruments — at full
 /// resolution — on a shared `/metrics` registry.
 #[derive(Debug)]
@@ -57,7 +50,7 @@ pub struct BatchStats {
     deadline_flushes: Arc<obs::Counter>,
     drain_flushes: Arc<obs::Counter>,
     /// Weighted by batch size: a flush of N frames adds weight N to value
-    /// N, so totals count frames (matching the legacy array).
+    /// N, so totals count frames.
     batch_size_frames: Arc<obs::Histogram>,
     fill_latency_us: Arc<obs::Histogram>,
     queue_latency_us: Arc<obs::Histogram>,
@@ -65,17 +58,7 @@ pub struct BatchStats {
 
 impl Default for BatchStats {
     fn default() -> BatchStats {
-        BatchStats {
-            batches: Arc::new(obs::Counter::new()),
-            classified: Arc::new(obs::Counter::new()),
-            deferred: Arc::new(obs::Counter::new()),
-            full_flushes: Arc::new(obs::Counter::new()),
-            deadline_flushes: Arc::new(obs::Counter::new()),
-            drain_flushes: Arc::new(obs::Counter::new()),
-            batch_size_frames: Arc::new(obs::Histogram::new()),
-            fill_latency_us: Arc::new(obs::Histogram::new()),
-            queue_latency_us: Arc::new(obs::Histogram::new()),
-        }
+        BatchStats::registered(&obs::Registry::new())
     }
 }
 
@@ -165,9 +148,10 @@ impl BatchStats {
         self.queue_latency_us.record_duration_us(latency);
     }
 
-    /// Point-in-time snapshot in the core wire format: the fine-grained
-    /// histograms fold into the legacy log₂ arrays exactly.
+    /// Point-in-time snapshot in the core wire format.
     pub fn snapshot(&self) -> BatchSnapshot {
+        let fill = self.fill_latency_us.snapshot();
+        let queue = self.queue_latency_us.snapshot();
         BatchSnapshot {
             batches: self.batches.get(),
             classified: self.classified.get(),
@@ -175,18 +159,11 @@ impl BatchStats {
             full_flushes: self.full_flushes.get(),
             deadline_flushes: self.deadline_flushes.get(),
             drain_flushes: self.drain_flushes.get(),
-            batch_size_hist: self
-                .batch_size_frames
-                .snapshot()
-                .counts_log2::<BATCH_SIZE_BUCKETS>(),
-            fill_latency_us_hist: self
-                .fill_latency_us
-                .snapshot()
-                .counts_log2::<LATENCY_BUCKETS>(),
-            queue_latency_us_hist: self
-                .queue_latency_us
-                .snapshot()
-                .counts_log2::<LATENCY_BUCKETS>(),
+            frames: self.batch_size_frames.count(),
+            fill_latency_p50_us: fill.quantile(50.0),
+            fill_latency_p99_us: fill.quantile(99.0),
+            queue_latency_p50_us: queue.quantile(50.0),
+            queue_latency_p99_us: queue.quantile(99.0),
         }
     }
 }
@@ -213,24 +190,19 @@ impl ClassifyReport {
     }
 }
 
-/// An ingest pipeline that classifies every record in flight via a
+/// An in-process driver that classifies every record in flight via a
 /// [`MonitorService`] (classifier + optional pre-filter + alerting) before
 /// storing it.
 ///
-/// Workers drain the bounded frame queue with the same
-/// drain-up-to-`max_batch`-or-`max_delay` policy as the socket listener,
-/// then push each batch through one fused
-/// [`MonitorService::ingest_frames`] call — parse → tokenize → CSR
-/// transform → batch predict — instead of N scalar round-trips.
-/// `max_batch = 1` degenerates to the scalar per-frame path.
+/// A *feeder* of the live path (`live.rs`): frames go round-robin onto
+/// the shard rings, and the shard workers push each micro-batch through
+/// one fused [`MonitorService::ingest_frames`] call — parse → tokenize →
+/// CSR transform → batch predict — exactly as behind the socket listener.
 pub struct ClassifyingIngest {
     store: Arc<LogStore>,
     service: Arc<MonitorService>,
     workers: usize,
     fallback_time: i64,
-    max_batch: usize,
-    max_delay: Duration,
-    batch_stats: Arc<BatchStats>,
     fan_out: Option<Arc<crate::sink::FanOut>>,
 }
 
@@ -246,9 +218,6 @@ impl ClassifyingIngest {
             service,
             workers: workers.max(1),
             fallback_time: 0,
-            max_batch: 64,
-            max_delay: Duration::from_millis(2),
-            batch_stats: Arc::new(BatchStats::new()),
             fan_out: None,
         }
     }
@@ -259,31 +228,13 @@ impl ClassifyingIngest {
         self
     }
 
-    /// Tune the micro-batching knobs: at most `max_batch` frames per fused
-    /// classify call, assembled for at most `max_delay` past the first
-    /// frame. `max_batch = 1` is the scalar path.
-    pub fn with_batching(mut self, max_batch: usize, max_delay: Duration) -> ClassifyingIngest {
-        self.max_batch = max_batch.max(1);
-        self.max_delay = max_delay;
-        self
-    }
-
     /// Fan every stored batch out to the given sink router as well (see
     /// [`crate::sink::FanOut`]): each classified micro-batch is submitted
     /// to the sinks right before the store insert, with per-lane overload
-    /// and spill semantics.
+    /// and spill semantics. The caller keeps the handle and shuts the
+    /// fan-out down after its last run.
     pub fn with_fan_out(mut self, fan_out: Arc<crate::sink::FanOut>) -> ClassifyingIngest {
         self.fan_out = Some(fan_out);
-        self
-    }
-
-    /// Register this pipeline's instruments on a shared telemetry bundle:
-    /// the batch counters become registry-backed, and the monitor service
-    /// (plus its classifier and the store) attach theirs too.
-    pub fn with_telemetry(mut self, telemetry: &Arc<obs::Telemetry>) -> ClassifyingIngest {
-        self.batch_stats = Arc::new(BatchStats::registered(&telemetry.registry));
-        self.service.attach_telemetry(&telemetry.registry);
-        self.store.attach_telemetry(&telemetry.registry);
         self
     }
 
@@ -295,93 +246,19 @@ impl ClassifyingIngest {
         I: IntoIterator<Item = String>,
     {
         let started = Instant::now();
-        let (tx, rx) = channel::bounded::<String>(8192);
-        let ingested = AtomicU64::new(0);
-        let prefiltered = AtomicU64::new(0);
-
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers {
-                let rx = rx.clone();
-                let store = &self.store;
-                let service = &self.service;
-                let ingested = &ingested;
-                let prefiltered = &prefiltered;
-                let fallback_time = self.fallback_time;
-                let max_batch = self.max_batch;
-                let max_delay = self.max_delay;
-                let batch_stats = &self.batch_stats;
-                let fan_out = &self.fan_out;
-                scope.spawn(move || {
-                    let mut batch: Vec<String> = Vec::with_capacity(max_batch);
-                    // First frame blocks; the rest of the batch fills
-                    // until max_batch frames or max_delay elapses.
-                    while let Ok(first) = rx.recv() {
-                        let fill_started = Instant::now();
-                        batch.clear();
-                        batch.push(first);
-                        let status = if max_batch > 1 {
-                            rx.drain_into(&mut batch, max_batch, fill_started + max_delay)
-                        } else {
-                            DrainStatus::Filled
-                        };
-                        let fill_latency = fill_started.elapsed();
-
-                        let texts: Vec<&str> = batch.iter().map(|f| f.as_str()).collect();
-                        let outcomes = service.ingest_frames(&texts);
-                        let mut classified = 0u64;
-                        let mut records: Vec<LogRecord> = Vec::with_capacity(batch.len());
-                        for outcome in outcomes {
-                            let (msg, category) = match outcome {
-                                FrameOutcome::Classified {
-                                    message,
-                                    prediction,
-                                } => {
-                                    classified += 1;
-                                    (message, Some(prediction.category))
-                                }
-                                FrameOutcome::Prefiltered { message } => {
-                                    prefiltered.fetch_add(1, Ordering::Relaxed);
-                                    (message, None)
-                                }
-                                // Unparseable frames were never stored on
-                                // the scalar path either.
-                                FrameOutcome::ParseError => continue,
-                            };
-                            let mut record =
-                                LogRecord::from_message(store.allocate_id(), &msg, fallback_time);
-                            record.category = category;
-                            records.push(record);
-                        }
-                        // Sinks see the classified batch before the store
-                        // consumes it (each lane clones its own copy).
-                        if let Some(fan_out) = fan_out {
-                            fan_out.submit(&records);
-                        }
-                        ingested.fetch_add(records.len() as u64, Ordering::Relaxed);
-                        for record in records {
-                            store.insert(record);
-                        }
-                        batch_stats.record_flush(
-                            batch.len(),
-                            classified,
-                            fill_latency,
-                            FlushReason::from_drain(status),
-                        );
-                    }
-                });
-            }
-            drop(rx);
-            for frame in frames {
-                if tx.send(frame).is_err() {
-                    break;
-                }
-            }
-            drop(tx);
-        });
-
+        let prefiltered_before = self.service.stats().prefiltered;
+        let mut path = LivePath::start_in_process(
+            self.store.clone(),
+            Some(self.service.clone()),
+            self.workers,
+            self.fallback_time,
+            self.fan_out.clone(),
+        );
+        path.feed(frames);
+        path.finish();
         ClassifyReport {
-            ingested: ingested.into_inner(),
-            prefiltered: prefiltered.into_inner(),
+            ingested: path.stats.ingested.get(),
+            prefiltered: self.service.stats().prefiltered - prefiltered_before,
             seconds: started.elapsed().as_secs_f64(),
         }
     }
@@ -390,121 +267,42 @@ impl ClassifyingIngest {
     pub fn service(&self) -> &MonitorService {
         &self.service
     }
-
-    /// Micro-batching counters accumulated across runs.
-    pub fn batch_stats(&self) -> BatchSnapshot {
-        self.batch_stats.snapshot()
-    }
-
-    /// Per-sink delivery ledgers, when a fan-out is attached.
-    pub fn sink_snapshots(&self) -> Option<Vec<crate::sink::SinkSnapshot>> {
-        self.fan_out.as_ref().map(|f| f.snapshots())
-    }
-
-    /// The attached sink router, when any.
-    pub fn fan_out(&self) -> Option<&Arc<crate::sink::FanOut>> {
-        self.fan_out.as_ref()
-    }
-}
-
-/// Convenience: build a [`ClassifyingIngest`] from a bare classifier with
-/// no pre-filter or alerting.
-pub fn classifying_ingest(
-    store: Arc<LogStore>,
-    classifier: Arc<dyn TextClassifier>,
-    workers: usize,
-) -> ClassifyingIngest {
-    ClassifyingIngest::new(store, Arc::new(MonitorService::new(classifier)), workers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsyslog_core::{batch_size_bucket, latency_bucket_us, Category, NoiseFilter, Prediction};
+    use hetsyslog_core::{Category, NoiseFilter, Prediction, TextClassifier};
 
-    /// A recorded batching workload: (batch size, fill latency µs, queue
-    /// latencies µs, flush reason). Mixes every reason, size-0 and size-1
-    /// edge batches, bucket-boundary sizes/latencies, and values past the
-    /// legacy histograms' last bucket.
-    fn recorded_workload() -> Vec<(usize, u64, Vec<u64>, FlushReason)> {
-        let mut workload = vec![
-            (0, 0, vec![], FlushReason::Drain),
-            (1, 1, vec![0], FlushReason::Full),
-            (2, 2, vec![1, 2], FlushReason::Deadline),
-            (3, 3, vec![3, 4, 7], FlushReason::Full),
-            (64, 4095, vec![8, 100_000], FlushReason::Full),
-            (255, 1 << 19, vec![1 << 21], FlushReason::Deadline),
-            (256, 1 << 20, vec![1 << 25], FlushReason::Full),
-            (10_000, u64::MAX / 2, vec![u64::MAX / 2], FlushReason::Drain),
-        ];
-        for i in 0..200u64 {
-            workload.push((
-                (i as usize * 7 + 1) % 300,
-                i * i * 31,
-                vec![i * 13, i * 997],
-                match i % 3 {
-                    0 => FlushReason::Full,
-                    1 => FlushReason::Deadline,
-                    _ => FlushReason::Drain,
-                },
-            ));
-        }
-        workload
-    }
-
-    /// The issue's migration-parity gate: the obs-backed [`BatchStats`]
-    /// must reproduce the legacy atomic-array snapshot bit-for-bit —
-    /// identical counts and identical per-bucket sums — on a recorded
-    /// workload. The reference below is the old implementation's exact
-    /// arithmetic, inlined.
     #[test]
-    fn obs_backed_snapshot_matches_legacy_arrays_exactly() {
+    fn snapshot_counts_frames_and_reports_log_linear_quantiles() {
         let stats = BatchStats::new();
-        let mut legacy = BatchSnapshot::default();
-        for (size, fill_us, queue_us, reason) in recorded_workload() {
-            stats.record_flush(
-                size,
-                size as u64 / 2,
-                Duration::from_micros(fill_us),
-                reason,
-            );
-            legacy.batches += 1;
-            legacy.classified += size as u64 / 2;
-            legacy.batch_size_hist[batch_size_bucket(size)] += size as u64;
-            legacy.fill_latency_us_hist[latency_bucket_us(fill_us)] += 1;
-            match reason {
-                FlushReason::Full => legacy.full_flushes += 1,
-                FlushReason::Deadline => {
-                    legacy.deferred += size as u64;
-                    legacy.deadline_flushes += 1;
-                }
-                FlushReason::Drain => legacy.drain_flushes += 1,
-            }
-            for us in queue_us {
-                stats.record_queue_latency(Duration::from_micros(us));
-                legacy.queue_latency_us_hist[latency_bucket_us(us)] += 1;
-            }
+        for (size, reason) in [
+            (64, FlushReason::Full),
+            (7, FlushReason::Deadline),
+            (1, FlushReason::Drain),
+        ] {
+            stats.record_flush(size, size as u64 / 2, Duration::from_micros(300), reason);
         }
-        assert_eq!(stats.snapshot(), legacy);
-        // Registered stats go through the same instruments: same parity.
-        let registry = obs::Registry::new();
-        let registered = BatchStats::registered(&registry);
-        for (size, fill_us, queue_us, reason) in recorded_workload() {
-            registered.record_flush(
-                size,
-                size as u64 / 2,
-                Duration::from_micros(fill_us),
-                reason,
-            );
-            for us in queue_us {
-                registered.record_queue_latency(Duration::from_micros(us));
-            }
+        for us in 1..=100u64 {
+            stats.record_queue_latency(Duration::from_micros(us * 1000));
         }
-        assert_eq!(registered.snapshot(), legacy);
+        let snap = stats.snapshot();
+        assert_eq!(snap.batches, 3);
+        assert_eq!(snap.frames, 72);
+        assert_eq!(snap.classified, 35);
+        assert_eq!(snap.deferred, 7);
         assert_eq!(
-            registry.counter_value("hetsyslog_batch_batches_total", &[]),
-            Some(legacy.batches)
+            (snap.full_flushes, snap.deadline_flushes, snap.drain_flushes),
+            (1, 1, 1)
         );
+        assert_eq!(snap.mean_batch_size(), 24.0);
+        // Upper bucket bounds, at most 12.5 % above the true value — not
+        // the next power of two.
+        let within = |got: u64, truth: u64| got >= truth && got <= truth + truth / 8;
+        assert!(within(snap.fill_latency_p50_us, 300), "{snap:?}");
+        assert!(within(snap.queue_latency_p50_us, 50_000), "{snap:?}");
+        assert!(within(snap.p99_queue_latency_us(), 99_000), "{snap:?}");
     }
 
     struct Stub;
@@ -521,10 +319,18 @@ mod tests {
         }
     }
 
+    fn stub_ingest(store: Arc<LogStore>, workers: usize) -> ClassifyingIngest {
+        ClassifyingIngest::new(
+            store,
+            Arc::new(MonitorService::new(Arc::new(Stub))),
+            workers,
+        )
+    }
+
     #[test]
     fn classifies_in_flight() {
         let store = Arc::new(LogStore::new());
-        let ingest = classifying_ingest(store.clone(), Arc::new(Stub), 2);
+        let ingest = stub_ingest(store.clone(), 2);
         let frames = vec![
             "<13>Oct 11 22:14:15 cn0001 kernel: cpu clock throttled".to_string(),
             "<13>Oct 11 22:14:16 cn0002 systemd: Started Session 1".to_string(),
@@ -560,7 +366,7 @@ mod tests {
     #[test]
     fn concurrent_classification_volume() {
         let store = Arc::new(LogStore::new());
-        let ingest = classifying_ingest(store.clone(), Arc::new(Stub), 4);
+        let ingest = stub_ingest(store.clone(), 4);
         let frames: Vec<String> = (0..2000)
             .map(|i| {
                 format!(

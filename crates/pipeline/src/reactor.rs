@@ -1,13 +1,11 @@
-//! Event-driven TCP ingest front end: a small pool of reactor threads,
+//! The event-driven socket front end: a small pool of reactor threads,
 //! each multiplexing hundreds of nonblocking connections over one
 //! level-triggered epoll instance (see the vendored [`netpoll`] shim).
 //!
-//! The thread-per-connection front end ([`frontend =
-//! threads`](crate::listener::Frontend::Threads)) burns one OS thread and
-//! one 10ms poll loop per peer; at the connection counts a test-bed
-//! cluster produces (hundreds of rsyslogd forwarders) that is thousands
-//! of mostly-idle threads waking on timers. The reactor inverts it: each
-//! of N threads owns
+//! At the connection counts a test-bed cluster produces (hundreds of
+//! rsyslogd forwarders) a thread per peer is thousands of mostly-idle
+//! threads waking on timers. The reactor inverts it: each of N threads
+//! owns
 //!
 //! * one [`netpoll::Poller`] (level-triggered epoll),
 //! * one [`netpoll::EventFd`] so shutdown and connection handoff
@@ -18,24 +16,25 @@
 //!   connection, so a corrupt sender never desyncs a neighbor), drop
 //!   accounting, and the idle deadline.
 //!
-//! Reactor 0 additionally owns the listening socket: accepted
+//! Reactor 0 additionally owns the listening socket — accepted
 //! connections are assigned round-robin across the pool, handed to their
-//! reactor through a mutex-guarded inbox plus an eventfd wake.
+//! reactor through a mutex-guarded inbox plus an eventfd wake — and the
+//! UDP socket, whose datagrams are frames as they stand.
 //!
-//! Semantics are bit-identical to the thread front end by construction:
-//! every read goes through the same [`FrameSink`] (same per-connection
-//! FIFO order — a connection lives on exactly one reactor and all its
-//! frames route to one shard ring), the same Block/Shed overload
-//! accounting, the same dead-letter ring, and the same decoder-tail
-//! flush on close, idle timeout, or drain.
+//! Every read goes through the same [`FrameSink`]: a connection lives on
+//! exactly one reactor and all its frames route to one shard ring
+//! (per-connection FIFO), Block/Shed overload accounting and the
+//! dead-letter ring sit behind the sink, and the decoder tail is flushed
+//! on close, idle timeout, or drain.
 
-use crate::listener::FrameSink;
+use crate::listener::UDP_SOURCE;
+use crate::live::FrameSink;
 use netpoll::{EventFd, Poller};
 use obs::{Counter, Gauge, Histogram, Registry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read};
-use std::net::{TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -45,11 +44,17 @@ use std::time::{Duration, Instant};
 const WAKE_TOKEN: u64 = u64::MAX;
 /// Token for the listening socket, registered on reactor 0 only.
 const ACCEPT_TOKEN: u64 = u64::MAX - 1;
+/// Token for the UDP socket, registered on reactor 0 only. Connection ids
+/// count up from 1, so the top of the range is free for these.
+const UDP_TOKEN: u64 = u64::MAX - 2;
 /// Reads per connection per wakeup. Level-triggered readiness re-reports
 /// a still-backlogged connection on the next `wait`, so capping read
 /// work here bounds how long one heavy sender can starve its neighbors
 /// without any re-arm bookkeeping.
 const MAX_READS_PER_WAKEUP: usize = 4;
+/// Datagrams taken off the UDP socket per wakeup, for the same reason;
+/// one wakeup's datagrams go to the shard fabric in one enqueue.
+const MAX_DATAGRAMS_PER_WAKEUP: usize = 64;
 
 /// Per-reactor instruments, one series per reactor under a `reactor`
 /// label (mirroring [`ShardStats`](crate::shard::ShardStats)).
@@ -68,16 +73,6 @@ pub struct ReactorStats {
 }
 
 impl ReactorStats {
-    /// Detached instruments: recording works, nothing is exported.
-    pub fn detached() -> ReactorStats {
-        ReactorStats {
-            connections: Arc::new(Gauge::new()),
-            wakeups: Arc::new(Counter::new()),
-            read_bytes: Arc::new(Histogram::new()),
-            ready_events: Arc::new(Histogram::new()),
-        }
-    }
-
     /// Instruments for reactor `reactor` registered on `registry`.
     pub fn registered(reactor: usize, registry: &Registry) -> ReactorStats {
         let reactor_label = reactor.to_string();
@@ -116,10 +111,9 @@ struct Inbox {
 }
 
 /// The running reactor pool. Built by
-/// [`SyslogListener::start`](crate::listener::SyslogListener::start)
-/// when the configured [`Frontend`](crate::listener::Frontend) is
-/// `Reactor`; stopped (eventfd wake + join, no poll-interval wait) from
-/// the listener's shutdown path.
+/// [`SyslogListener::start`](crate::listener::SyslogListener::start);
+/// stopped (eventfd wake + join, no poll-interval wait) from the
+/// listener's shutdown path.
 pub(crate) struct ReactorFrontend {
     inboxes: Vec<Arc<Inbox>>,
     threads: Vec<JoinHandle<()>>,
@@ -128,11 +122,11 @@ pub(crate) struct ReactorFrontend {
 
 impl ReactorFrontend {
     /// Spawn one reactor thread per entry in `stats`; reactor 0 takes
-    /// ownership of the (nonblocking) listening socket.
+    /// ownership of the (nonblocking) listening and UDP sockets.
     pub(crate) fn start(
         tcp: TcpListener,
+        udp: UdpSocket,
         sink: FrameSink,
-        shutdown: Arc<AtomicBool>,
         idle_timeout: Duration,
         stats: Vec<Arc<ReactorStats>>,
     ) -> std::io::Result<ReactorFrontend> {
@@ -144,38 +138,41 @@ impl ReactorFrontend {
                 pending: Mutex::new(Vec::new()),
             }));
         }
+        // Built before the first spawn: an error below drops it, which
+        // stops the reactors already running.
+        let mut frontend = ReactorFrontend {
+            inboxes: inboxes.clone(),
+            threads: Vec::with_capacity(n),
+            shutdown: Arc::new(AtomicBool::new(false)),
+        };
         let next_conn_id = Arc::new(AtomicU64::new(1));
         let round_robin = Arc::new(AtomicUsize::new(0));
-        let mut acceptor = Some(tcp);
-        let mut threads = Vec::with_capacity(n);
+        let mut sockets = Some((tcp, udp));
         for (index, stats) in stats.into_iter().enumerate() {
             let reactor = Reactor {
                 index,
-                acceptor: acceptor.take(),
+                sockets: sockets.take(),
                 inboxes: inboxes.clone(),
                 sink: sink.clone(),
-                shutdown: shutdown.clone(),
+                shutdown: frontend.shutdown.clone(),
                 idle_timeout,
                 next_conn_id: next_conn_id.clone(),
                 round_robin: round_robin.clone(),
                 stats,
             };
-            threads.push(
+            frontend.threads.push(
                 std::thread::Builder::new()
                     .name(format!("reactor-{index}"))
                     .spawn(move || reactor.run())?,
             );
         }
-        Ok(ReactorFrontend {
-            inboxes,
-            threads,
-            shutdown,
-        })
+        Ok(frontend)
     }
 
     /// Stop every reactor: set the flag, wake each eventfd (cutting any
     /// in-flight `epoll_wait` short), and join. Each thread flushes the
     /// decoder tail of every connection it still owns on the way out.
+    /// Idempotent.
     pub(crate) fn stop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
         for inbox in &self.inboxes {
@@ -204,7 +201,8 @@ struct Conn {
 /// One reactor thread's context; `run` consumes it on the thread.
 struct Reactor {
     index: usize,
-    acceptor: Option<TcpListener>,
+    /// The listening and UDP sockets (reactor 0 only).
+    sockets: Option<(TcpListener, UdpSocket)>,
     inboxes: Vec<Arc<Inbox>>,
     sink: FrameSink,
     shutdown: Arc<AtomicBool>,
@@ -223,8 +221,8 @@ impl Reactor {
         if poller.add(&own.wake, WAKE_TOKEN).is_err() {
             return;
         }
-        if let Some(listener) = &self.acceptor {
-            if poller.add(listener, ACCEPT_TOKEN).is_err() {
+        if let Some((listener, udp)) = &self.sockets {
+            if poller.add(listener, ACCEPT_TOKEN).is_err() || poller.add(udp, UDP_TOKEN).is_err() {
                 return;
             }
         }
@@ -240,6 +238,9 @@ impl Reactor {
             (self.idle_timeout / 4).clamp(Duration::from_millis(5), Duration::from_millis(500));
         let tick_ms = tick.as_millis() as i32;
         let mut last_sweep = Instant::now();
+        // Set while the listening socket is off the poller after a failed
+        // accept(2); the next sweep puts it back.
+        let mut accept_paused = false;
 
         'run: loop {
             if poller.wait(&mut events, Some(tick_ms)).is_err() {
@@ -251,7 +252,7 @@ impl Reactor {
                 break;
             }
             for event in &events {
-                match event.token {
+                let alive = match event.token {
                     WAKE_TOKEN => {
                         own.wake.drain();
                         let injected: Vec<(u64, TcpStream)> =
@@ -259,18 +260,25 @@ impl Reactor {
                         for (conn_id, stream) in injected {
                             self.register(&poller, &mut conns, conn_id, stream);
                         }
+                        true
                     }
-                    ACCEPT_TOKEN => self.accept_ready(&poller, &mut conns),
-                    conn_id => {
-                        if !self.service(conn_id, &poller, &mut conns, &mut buf) {
-                            break 'run; // pipeline gone
-                        }
+                    ACCEPT_TOKEN => {
+                        accept_paused = !self.accept_ready(&poller, &mut conns);
+                        true
                     }
+                    UDP_TOKEN => self.udp_ready(&mut buf),
+                    conn_id => self.service(conn_id, &poller, &mut conns, &mut buf),
+                };
+                if !alive {
+                    break 'run; // pipeline gone
                 }
             }
             if last_sweep.elapsed() >= tick {
                 last_sweep = Instant::now();
                 self.sweep_idle(&poller, &mut conns);
+                if let (true, Some((listener, _))) = (accept_paused, &self.sockets) {
+                    accept_paused = poller.add(listener, ACCEPT_TOKEN).is_err();
+                }
             }
         }
 
@@ -283,7 +291,7 @@ impl Reactor {
         self.stats.connections.set(0);
         for (_conn_id, stream) in own.pending.lock().drain(..) {
             drop(stream);
-            self.sink.ingest_stats().connections_closed.inc();
+            self.sink.stats.connections_closed.inc();
         }
     }
 
@@ -299,7 +307,7 @@ impl Reactor {
             // Registration failed: the open was already counted, so
             // account the close to keep the ledger balanced.
             drop(stream);
-            self.sink.ingest_stats().connections_closed.inc();
+            self.sink.stats.connections_closed.inc();
             return;
         }
         conns.insert(
@@ -315,16 +323,20 @@ impl Reactor {
     }
 
     /// Accept every pending connection (reactor 0 only) and assign each
-    /// to a reactor round-robin.
-    fn accept_ready(&self, poller: &Poller, conns: &mut HashMap<u64, Conn>) {
-        let Some(listener) = &self.acceptor else {
-            return;
+    /// to a reactor round-robin. Returns `false` when `accept(2)` failed
+    /// for a reason that will not clear by itself (EMFILE/ENFILE under a
+    /// connect storm): the listening socket is level-triggered, so leaving
+    /// it on the poller would turn `epoll_wait` into a spin. It comes off
+    /// until the next sweep tick instead, and the error is counted.
+    fn accept_ready(&self, poller: &Poller, conns: &mut HashMap<u64, Conn>) -> bool {
+        let Some((listener, _)) = &self.sockets else {
+            return true;
         };
         loop {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     let conn_id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-                    self.sink.ingest_stats().connections_opened.inc();
+                    self.sink.stats.connections_opened.inc();
                     let target =
                         self.round_robin.fetch_add(1, Ordering::Relaxed) % self.inboxes.len();
                     if target == self.index {
@@ -334,11 +346,60 @@ impl Reactor {
                         let _ = self.inboxes[target].wake.wake();
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                // A queued peer that reset before accept(2), or a signal:
+                // the next pending connection is unaffected.
+                Err(e)
+                    if e.kind() == ErrorKind::Interrupted
+                        || e.kind() == ErrorKind::ConnectionAborted =>
+                {
+                    continue
+                }
+                Err(_) => {
+                    self.sink.stats.accept_errors.inc();
+                    let _ = poller.delete(listener);
+                    return false;
+                }
             }
         }
+    }
+
+    /// Take the pending datagrams off the UDP socket (reactor 0 only): one
+    /// datagram = one frame, no framing state to keep. Returns `false`
+    /// once the pipeline is gone.
+    fn udp_ready(&self, buf: &mut [u8]) -> bool {
+        let Some((_, udp)) = &self.sockets else {
+            return true;
+        };
+        let mut frames = Vec::new();
+        let mut total = 0u64;
+        while frames.len() < MAX_DATAGRAMS_PER_WAKEUP {
+            match udp.recv_from(buf) {
+                // `Ok(0)` is an empty datagram, not EOF: it is a frame,
+                // and the one input the permissive parser rejects.
+                Ok((n, _peer)) => {
+                    total += n as u64;
+                    frames.push(
+                        String::from_utf8_lossy(&buf[..n])
+                            .trim_end_matches(['\r', '\n'])
+                            .to_string(),
+                    );
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => break, // WouldBlock: the socket is drained
+            }
+        }
+        if frames.is_empty() {
+            return true; // spurious readiness
+        }
+        let stats = &self.sink.stats;
+        let datagrams = frames.len() as u64;
+        stats.bytes.add(total);
+        stats.udp_datagrams.add(datagrams);
+        stats.udp_bytes.add(total);
+        stats.add_source(UDP_SOURCE, datagrams, total);
+        self.stats.read_bytes.record(total);
+        self.sink.submit_many(UDP_SOURCE, frames)
     }
 
     /// Service one readable connection. Returns `false` once the
@@ -354,7 +415,7 @@ impl Reactor {
             // Stale event for a connection retired earlier in this batch.
             return true;
         };
-        let stats = self.sink.ingest_stats();
+        let stats = &self.sink.stats;
         let mut close = false;
         let mut alive = true;
         let mut total = 0u64;
@@ -370,7 +431,7 @@ impl Reactor {
                     stats.bytes.add(n as u64);
                     let decode_started = Instant::now();
                     let frames = conn.decoder.push(&buf[..n]);
-                    stats.record_decode(decode_started.elapsed());
+                    stats.decode_us.record_duration_us(decode_started.elapsed());
                     let dropped_now = conn.decoder.dropped() - conn.decoder_dropped;
                     if dropped_now > 0 {
                         conn.decoder_dropped = conn.decoder.dropped();
@@ -407,7 +468,7 @@ impl Reactor {
     }
 
     /// Close connections quiet past the idle timeout (decoder tails
-    /// flushed, `idle_closed` accounted — same as the thread front end).
+    /// flushed, `idle_closed` accounted).
     fn sweep_idle(&self, poller: &Poller, conns: &mut HashMap<u64, Conn>) {
         let expired: Vec<u64> = conns
             .iter()
@@ -426,9 +487,8 @@ impl Reactor {
         self.stats.connections.set(conns.len() as i64);
     }
 
-    /// Account a connection's close exactly like the tail of
-    /// `serve_connection`: flush the decoder tail, fold residual decoder
-    /// drops, bump `idle_closed`/`connections_closed`.
+    /// Account a connection's close: flush the decoder tail, fold
+    /// residual decoder drops, bump `idle_closed`/`connections_closed`.
     fn retire(&self, conn_id: u64, conn: Conn, idled: bool) {
         let Conn {
             stream,
@@ -437,10 +497,10 @@ impl Reactor {
             ..
         } = conn;
         drop(stream);
-        let stats = self.sink.ingest_stats();
+        let stats = &self.sink.stats;
         if let Some(tail) = decoder.finish() {
             stats.add_source(conn_id, 1, 0);
-            self.sink.submit(conn_id, tail);
+            self.sink.submit_many(conn_id, vec![tail]);
         }
         let dropped_now = decoder.dropped() - decoder_dropped;
         if dropped_now > 0 {

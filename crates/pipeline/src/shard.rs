@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-pub use crossbeam::channel::{SendError, TrySendError};
+pub use crossbeam::channel::SendError;
 
 /// Maps frame sources to pipeline shards.
 ///
@@ -68,18 +68,12 @@ impl Partitioner {
     pub fn next_round_robin(&self) -> usize {
         self.round_robin.fetch_add(1, Ordering::Relaxed) % self.shards
     }
-
-    /// Number of shards frames are partitioned over.
-    pub fn n_shards(&self) -> usize {
-        self.shards
-    }
 }
 
-/// Per-shard instruments, all labeled `shard=<k>`. `Default`-style
-/// construction via [`ShardStats::detached`] records without exporting;
-/// [`ShardStats::registered`] puts the same instruments on a shared
-/// registry so a `/metrics` scrape (and `hetsyslog top`) sees one series
-/// per shard.
+/// Per-shard instruments, all labeled `shard=<k>`:
+/// [`ShardStats::registered`] puts them on a registry so a `/metrics`
+/// scrape (and `hetsyslog top`) sees one series per shard. A listener
+/// without telemetry registers them on a registry nobody scrapes.
 #[derive(Debug)]
 pub struct ShardStats {
     /// Frames routed into this shard's ring by the partitioner.
@@ -101,20 +95,6 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Detached instruments: recording works, nothing is exported.
-    pub fn detached() -> ShardStats {
-        ShardStats {
-            routed: Arc::new(Counter::new()),
-            processed: Arc::new(Counter::new()),
-            queue_depth: Arc::new(Gauge::new()),
-            steals: Arc::new(Counter::new()),
-            stolen_frames: Arc::new(Counter::new()),
-            batch_frames: Arc::new(Histogram::new()),
-            classify_us: Arc::new(Histogram::new()),
-            insert_us: Arc::new(Histogram::new()),
-        }
-    }
-
     /// Instruments for shard `shard` registered on `registry`, one series
     /// per shard under a `shard` label.
     pub fn registered(shard: usize, registry: &Registry) -> ShardStats {
@@ -250,27 +230,12 @@ impl<T> ShardRouter<T> {
         &self.partitioner
     }
 
-    /// Number of shards in the fabric.
-    pub fn n_shards(&self) -> usize {
-        self.producers.len()
-    }
-
     /// Per-shard ring capacity.
     pub fn shard_capacity(&self) -> usize {
         self.producers[0].lock().capacity()
     }
 
-    /// Blocking enqueue onto `shard`'s ring (Block overload policy).
-    pub fn send(&self, shard: usize, item: T) -> Result<(), SendError<T>> {
-        self.producers[shard].lock().send(item)
-    }
-
-    /// Non-blocking enqueue onto `shard`'s ring (Shed overload policy).
-    pub fn try_send(&self, shard: usize, item: T) -> Result<(), TrySendError<T>> {
-        self.producers[shard].lock().try_send(item)
-    }
-
-    /// Blocking bulk enqueue onto `shard`'s ring.
+    /// Blocking bulk enqueue onto `shard`'s ring (Block overload policy).
     pub fn send_many(
         &self,
         shard: usize,
@@ -279,24 +244,15 @@ impl<T> ShardRouter<T> {
         self.producers[shard].lock().send_many(items)
     }
 
-    /// Non-blocking bulk enqueue onto `shard`'s ring; returns the rejected
-    /// overflow tail for dead-letter accounting.
+    /// Non-blocking bulk enqueue onto `shard`'s ring (Shed overload
+    /// policy); returns the rejected overflow tail for dead-letter
+    /// accounting.
     pub fn try_send_many(
         &self,
         shard: usize,
         items: impl IntoIterator<Item = T>,
     ) -> Result<Vec<T>, SendError<Vec<T>>> {
         self.producers[shard].lock().try_send_many(items)
-    }
-
-    /// Frames currently queued in `shard`'s ring.
-    pub fn depth(&self, shard: usize) -> usize {
-        self.producers[shard].lock().len()
-    }
-
-    /// Frames currently queued across every ring.
-    pub fn total_depth(&self) -> usize {
-        (0..self.producers.len()).map(|s| self.depth(s)).sum()
     }
 }
 
@@ -342,7 +298,6 @@ mod tests {
     #[test]
     fn router_preserves_aggregate_depth_bound() {
         let (router, receivers) = ShardRouter::<u32>::build(4, 1024);
-        assert_eq!(router.n_shards(), 4);
         assert_eq!(receivers.len(), 4);
         assert_eq!(router.shard_capacity(), 256);
         // Odd splits round up, never starving a shard.
@@ -356,12 +311,8 @@ mod tests {
     fn steal_batch_honors_threshold_and_picks_deepest() {
         let (router, mut receivers) = ShardRouter::<u32>::build(3, 30);
         // Shard 1 has 4 queued, shard 2 has 7; shard 0 is the idle thief.
-        for v in 0..4 {
-            router.send(1, 100 + v).unwrap();
-        }
-        for v in 0..7 {
-            router.send(2, 200 + v).unwrap();
-        }
+        router.send_many(1, 100..104).unwrap();
+        router.send_many(2, 200..207).unwrap();
         let thief = receivers.remove(0);
         let mut buf = Vec::new();
         assert_eq!(
@@ -373,7 +324,11 @@ mod tests {
         assert_eq!(victim, 2);
         assert_eq!(stolen, 7);
         assert_eq!(buf, vec![200, 201, 202, 203, 204, 205, 206]);
-        assert_eq!(router.depth(2), 0);
-        assert_eq!(router.depth(1), 4, "shallower sibling untouched");
+        let next = thief.steal_batch(&mut buf, 8, 1);
+        assert_eq!(
+            next,
+            Some((1, 4)),
+            "deep ring emptied, shallow one untouched"
+        );
     }
 }

@@ -1324,6 +1324,7 @@ fn lane_worker(lane: &Arc<Lane>, hard_stop: &AtomicBool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testsupport::wait_until;
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -1343,17 +1344,6 @@ mod tests {
                 LogRecord::from_message(id, &msg, 1000)
             })
             .collect()
-    }
-
-    fn wait_until(ms: u64, mut cond: impl FnMut() -> bool) -> bool {
-        let deadline = Instant::now() + Duration::from_millis(ms);
-        while Instant::now() < deadline {
-            if cond() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        cond()
     }
 
     #[test]

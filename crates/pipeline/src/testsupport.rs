@@ -8,6 +8,7 @@
 
 use crate::record::LogRecord;
 use crate::sink::{FaultPlan, Sink, SinkBatch, SinkError};
+use hetsyslog_core::{Category, Prediction, TextClassifier};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -130,6 +131,21 @@ pub fn sample_records(from: u64, n: u64) -> Vec<LogRecord> {
             LogRecord::from_message(id, &msg, 1_700_000_000)
         })
         .collect()
+}
+
+/// A classifier that takes a fixed time per message, to make the bounded
+/// shard rings actually fill (and shed) under load.
+pub struct SlowStub(pub Duration);
+
+impl TextClassifier for SlowStub {
+    fn name(&self) -> String {
+        "slow-stub".to_string()
+    }
+
+    fn classify(&self, _message: &str) -> Prediction {
+        std::thread::sleep(self.0);
+        Prediction::bare(Category::Unimportant)
+    }
 }
 
 /// Poll `cond` once a millisecond until it holds or `ms` elapses; returns

@@ -7,38 +7,12 @@
 //! keep socket-heavy tests from contending for the accept backlog.
 
 use hetsyslog_core::{Category, MonitorService, Prediction, TextClassifier};
+use logpipeline::testsupport::{wait_until, SlowStub};
 use logpipeline::{DropReason, Frontend, ListenerConfig, LogStore, OverloadPolicy, SyslogListener};
 use std::io::Write;
 use std::net::{TcpStream, UdpSocket};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Poll `cond` until it holds or `deadline_ms` passes.
-fn wait_until(deadline_ms: u64, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    cond()
-}
-
-/// A classifier that takes a fixed time per message, to make the bounded
-/// queue actually fill under load.
-struct SlowStub(Duration);
-
-impl TextClassifier for SlowStub {
-    fn name(&self) -> String {
-        "slow-stub".to_string()
-    }
-
-    fn classify(&self, _message: &str) -> Prediction {
-        std::thread::sleep(self.0);
-        Prediction::bare(Category::Unimportant)
-    }
-}
+use std::time::Duration;
 
 /// The acceptance scenario: four concurrent TCP connections sending
 /// interleaved octet-counted, LF-framed, corrupt-count, garbage, and
@@ -293,6 +267,14 @@ fn udp_datagrams_ingest_and_empty_datagrams_dead_letter() {
         .expect("udp counters");
     assert_eq!(udp_row.1.frames, 5);
 
+    // The datagrams were read by reactor 0 (which owns the UDP socket),
+    // not by a thread of their own: with no TCP traffic, only reactor 0
+    // has wakeups that moved data.
+    let reactors = listener.reactor_stats_handle();
+    assert!(reactors[0].wakeups.get() >= 1);
+    assert!(reactors[0].read_bytes.count() >= 1);
+    assert_eq!(reactors[1].read_bytes.count(), 0);
+
     let report = listener.shutdown();
     assert_eq!(report.ingested, 4);
     assert_eq!(report.parse_errors, 1);
@@ -346,14 +328,8 @@ fn partial_batch_flushed_on_graceful_drain_without_loss() {
 
     let batching = batch_stats.snapshot();
     assert_eq!(
-        batching.frames(),
-        23,
-        "batch-size histogram must sum to the ingested count: {batching:?}"
-    );
-    assert_eq!(
-        batching.queue_latency_us_hist.iter().sum::<u64>(),
-        23,
-        "every frame gets a queue-latency sample"
+        batching.frames, 23,
+        "batched frames must sum to the ingested count: {batching:?}"
     );
     assert_eq!(batching.classified, 23, "no prefilter: all frames classify");
     assert!(
@@ -369,8 +345,10 @@ fn partial_batch_flushed_on_graceful_drain_without_loss() {
 
 #[test]
 fn batched_and_scalar_listeners_agree_on_stored_categories() {
-    // The same traffic through max_batch = 1 (scalar path) and
-    // max_batch = 32 must store identical category multisets and counters.
+    // The same traffic at every batch size (1 = a batch of one frame
+    // through the same code) must store identical content, category
+    // multisets and counters; without a classifier the same records are
+    // stored unclassified.
     let frames: Vec<String> = (0..120)
         .map(|k| {
             if k % 5 == 0 {
@@ -396,12 +374,18 @@ fn batched_and_scalar_listeners_agree_on_stored_categories() {
     }
 
     let mut results = Vec::new();
-    for max_batch in [1usize, 32] {
+    for (max_batch, classify) in [
+        (1usize, true),
+        (7, true),
+        (32, true),
+        (64, true),
+        (64, false),
+    ] {
         let store = Arc::new(LogStore::new());
-        let service = Arc::new(MonitorService::new(Arc::new(ByContent)));
+        let service = classify.then(|| Arc::new(MonitorService::new(Arc::new(ByContent))));
         let listener = SyslogListener::start(
             store.clone(),
-            Some(service.clone()),
+            service.clone(),
             ListenerConfig {
                 workers: 2,
                 max_batch,
@@ -423,13 +407,46 @@ fn batched_and_scalar_listeners_agree_on_stored_categories() {
         let batch_stats = listener.batch_stats_handle();
         let report = listener.shutdown();
         assert_eq!(report.ingested, 120);
-        assert_eq!(batch_stats.snapshot().frames(), 120);
-        let thermal = store.search(0, i64::MAX / 2, &["throttled".to_string()]);
-        let stats = service.stats();
-        results.push((thermal.len(), stats.total, stats.per_category));
+        let batching = batch_stats.snapshot();
+        assert_eq!(batching.frames, 120);
+        assert!(
+            batching.batches >= 120 / max_batch as u64,
+            "no batch may exceed max_batch {max_batch}: {batching:?}"
+        );
+        let mut stored: Vec<(String, Option<Category>)> = store
+            .search(0, i64::MAX / 2, &[])
+            .into_iter()
+            .map(|r| (r.message, r.category))
+            .collect();
+        stored.sort();
+        match service {
+            Some(service) => {
+                let stats = service.stats();
+                assert_eq!(batching.classified, 120);
+                results.push((stored, stats.total, stats.per_category));
+            }
+            None => {
+                assert_eq!(batching.classified, 0);
+                assert!(stored.iter().all(|(_, category)| category.is_none()));
+                let classified = &results[0].0;
+                assert!(
+                    stored
+                        .iter()
+                        .map(|(m, _)| m)
+                        .eq(classified.iter().map(|(m, _)| m)),
+                    "the unclassified path must store the same messages"
+                );
+            }
+        }
     }
-    assert_eq!(results[0], results[1]);
-    assert_eq!(results[0].0, 24);
+    for other in &results[1..] {
+        assert_eq!(&results[0], other);
+    }
+    let thermal = results[0]
+        .0
+        .iter()
+        .filter(|(_, c)| *c == Some(Category::ThermalIssue));
+    assert_eq!(thermal.count(), 24);
 }
 
 /// Drop-accounting consistency sweep (telemetry edition): under both
@@ -563,128 +580,61 @@ fn drop_accounting_is_consistent_from_a_single_scrape() {
     }
 }
 
-/// Regression: the thread-per-connection accept loop used to push every
-/// connection handle into a vec it never pruned, so a long-lived listener
-/// leaked one JoinHandle per connection. Finished handles are now reaped
-/// at every accept, keeping the vec bounded by live connections.
+/// The absolute ledger for hostile traffic on the reactor front end: three
+/// connections of mixed octet-counted / LF framing, each ending in a
+/// corrupt octet count, dribbled in 17-byte chunks.
 #[test]
-fn conn_thread_handles_are_reaped_under_churn() {
+fn reactor_ledger_for_hostile_traffic_is_exact() {
     let store = Arc::new(LogStore::new());
     let listener = SyslogListener::start(
-        store,
+        store.clone(),
         None,
         ListenerConfig {
-            frontend: Frontend::Threads,
+            frontend: Frontend::Reactor { threads: 2 },
+            workers: 2,
             ..ListenerConfig::default()
         },
     )
     .expect("bind loopback listener");
+    assert_eq!(listener.n_reactors(), 2);
     let addr = listener.tcp_addr();
-
-    const CHURN: u64 = 60;
-    for k in 0..CHURN {
-        let mut sock = TcpStream::connect(addr).expect("connect");
-        sock.write_all(format!("<13>Oct 11 22:14:15 cn0001 app: churn {k}\n").as_bytes())
-            .expect("write");
-        // Close and wait for the frame so each connection fully retires
-        // (thread exit may lag the close by a scheduler tick).
-        drop(sock);
-        assert!(
-            wait_until(5_000, || listener.stats().snapshot().ingested == k + 1),
-            "frame {k} never ingested: {:?}",
-            listener.stats().snapshot()
-        );
-    }
-    assert!(
-        listener.conn_thread_count() < CHURN as usize,
-        "handle vec grew monotonically: {} handles after {CHURN} connections",
-        listener.conn_thread_count()
-    );
-
-    // Probe connections trigger reaps of the (by now finished) churn
-    // threads; the tracked count must drop to just-live handles.
-    assert!(
-        wait_until(5_000, || {
-            let sock = TcpStream::connect(addr).expect("probe connect");
-            drop(sock);
-            listener.conn_thread_count() <= 3
-        }),
-        "reap never converged: {} handles tracked",
-        listener.conn_thread_count()
-    );
-
-    let report = listener.shutdown();
-    assert_eq!(report.ingested, CHURN);
-}
-
-/// The reactor and thread front ends must be interchangeable: the same
-/// hostile traffic produces identical ingest ledgers and stored content
-/// through both.
-#[test]
-fn reactor_and_thread_frontends_produce_identical_ledgers() {
-    let mut reports = Vec::new();
-    for frontend in [Frontend::Threads, Frontend::Reactor { threads: 2 }] {
-        let store = Arc::new(LogStore::new());
-        let listener = SyslogListener::start(
-            store.clone(),
-            None,
-            ListenerConfig {
-                frontend,
-                workers: 2,
-                ..ListenerConfig::default()
-            },
-        )
-        .expect("bind loopback listener");
-        match frontend {
-            Frontend::Threads => assert_eq!(listener.n_reactors(), 0),
-            Frontend::Reactor { threads } => assert_eq!(listener.n_reactors(), threads),
-        }
-        let addr = listener.tcp_addr();
-        let clients: Vec<_> = (0..3)
-            .map(|c| {
-                std::thread::spawn(move || {
-                    let mut sock = TcpStream::connect(addr).expect("connect");
-                    let mut wire = Vec::new();
-                    for k in 0..20 {
-                        let frame =
-                            format!("<13>Oct 11 22:14:{:02} cn{c:04} app: parity {k}", k % 60);
-                        if k % 2 == 0 {
-                            wire.extend_from_slice(format!("{} {frame}", frame.len()).as_bytes());
-                        } else {
-                            wire.extend_from_slice(frame.as_bytes());
-                            wire.push(b'\n');
-                        }
+    let clients: Vec<_> = (0..3)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut sock = TcpStream::connect(addr).expect("connect");
+                let mut wire = Vec::new();
+                for k in 0..20 {
+                    let frame = format!("<13>Oct 11 22:14:{:02} cn{c:04} app: parity {k}", k % 60);
+                    if k % 2 == 0 {
+                        wire.extend_from_slice(format!("{} {frame}", frame.len()).as_bytes());
+                    } else {
+                        wire.extend_from_slice(frame.as_bytes());
+                        wire.push(b'\n');
                     }
-                    wire.extend_from_slice(b"999999 \n"); // corrupt count
-                    for chunk in wire.chunks(17) {
-                        sock.write_all(chunk).expect("write");
-                    }
-                })
+                }
+                wire.extend_from_slice(b"999999 \n"); // corrupt count
+                for chunk in wire.chunks(17) {
+                    sock.write_all(chunk).expect("write");
+                }
             })
-            .collect();
-        for client in clients {
-            client.join().expect("client thread");
-        }
-        assert!(
-            wait_until(10_000, || listener.stats().snapshot().ingested == 60),
-            "timed out under {frontend:?}: {:?}",
-            listener.stats().snapshot()
-        );
-        let report = listener.shutdown();
-        assert_eq!(store.len(), 60);
-        reports.push((
-            report.frames,
-            report.ingested,
-            report.shed,
-            report.parse_errors,
-            report.decode_dropped,
-            report.connections,
-        ));
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
     }
-    assert_eq!(
-        reports[0], reports[1],
-        "thread and reactor front ends must account identically"
+    assert!(
+        wait_until(10_000, || listener.stats().snapshot().ingested == 60),
+        "timed out: {:?}",
+        listener.stats().snapshot()
     );
+    let report = listener.shutdown();
+    assert_eq!(store.len(), 60);
+    assert_eq!(report.frames, 60);
+    assert_eq!(report.ingested, 60);
+    assert_eq!(report.shed, 0);
+    assert_eq!(report.parse_errors, 0);
+    assert_eq!(report.decode_dropped, 3, "one corrupt count per client");
+    assert_eq!(report.connections, 3);
 }
 
 #[test]

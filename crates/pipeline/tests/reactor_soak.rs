@@ -8,26 +8,15 @@
 //! ```
 //!
 //! This is the workload shape the reactor exists for — far more
-//! connections than threads — and the one the thread-per-connection
-//! front end handles by spawning 512 OS threads.
+//! connections than threads. A second soak bursts UDP datagrams through
+//! reactor 0 beside live TCP connections under `Shed`.
 
+use logpipeline::testsupport::wait_until;
 use logpipeline::{Frontend, ListenerConfig, LogStore, OverloadPolicy, SyslogListener};
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{TcpStream, UdpSocket};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Poll `cond` until it holds or `deadline_ms` passes.
-fn wait_until(deadline_ms: u64, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    cond()
-}
+use std::time::Duration;
 
 /// 512 connections (32 writer threads × 16 sequential connections each),
 /// every connection sending a handful of frames — the last one left as an
@@ -173,4 +162,118 @@ fn reactor_balances_opened_and_closed_across_abrupt_disconnects() {
     let report = listener.shutdown();
     assert_eq!(report.connections, 64);
     assert_eq!(report.ingested, 64);
+}
+
+/// 2 000 UDP datagrams burst through reactor 0 under `Shed` while four TCP
+/// connections stream beside them: every datagram the kernel delivered is
+/// a frame, every frame is stored, shed or a parse error, and the TCP
+/// connections keep per-connection FIFO order into the store.
+#[test]
+fn udp_burst_beside_live_tcp_conserves_ledger_and_tcp_order() {
+    const DATAGRAMS: u64 = 2_000;
+    const TCP_CONNS: u64 = 4;
+    const TCP_FRAMES: u64 = 250;
+
+    // One shard: with no sibling to steal from, the worker claims the
+    // ring strictly front to back, so store ids follow ring order and
+    // the FIFO check below reads the order the reactors enqueued in.
+    let store = Arc::new(LogStore::new());
+    let listener = SyslogListener::start(
+        store.clone(),
+        None,
+        ListenerConfig {
+            workers: 1,
+            queue_depth: 64,
+            overload: OverloadPolicy::Shed,
+            ..ListenerConfig::default()
+        },
+    )
+    .expect("bind loopback listener");
+    let tcp_addr = listener.tcp_addr();
+    let udp_addr = listener.udp_addr();
+
+    let tcp_writers: Vec<_> = (0..TCP_CONNS)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut sock = TcpStream::connect(tcp_addr).expect("connect");
+                for k in 0..TCP_FRAMES {
+                    sock.write_all(
+                        format!("<13>Oct 11 22:14:15 tcp{c:02} app: seq {k:04}\n").as_bytes(),
+                    )
+                    .expect("write");
+                }
+            })
+        })
+        .collect();
+    let udp = UdpSocket::bind("127.0.0.1:0").expect("bind client");
+    for k in 0..DATAGRAMS {
+        // Every 100th datagram is empty: a frame that must dead-letter.
+        let payload = if k % 100 == 99 {
+            String::new()
+        } else {
+            format!("<13>Oct 11 22:14:15 udp00 app: dgram {k}")
+        };
+        udp.send_to(payload.as_bytes(), udp_addr).expect("send");
+    }
+    for writer in tcp_writers {
+        writer.join().expect("tcp writer");
+    }
+
+    // Quiesce. Loopback delivers (or drops) a datagram inside `send_to`,
+    // so once the reactor has emptied the socket buffer nothing more
+    // arrives: wait for a balanced ledger that no longer moves.
+    let stats = listener.stats();
+    let mut previous = stats.snapshot();
+    assert!(
+        wait_until(30_000, || {
+            std::thread::sleep(Duration::from_millis(200));
+            let now = stats.snapshot();
+            let settled =
+                now == previous && now.ingested + now.shed + now.parse_errors == now.frames;
+            previous = now;
+            settled
+        }),
+        "never quiesced: {:?}",
+        stats.snapshot()
+    );
+    let udp_datagrams = stats.udp_datagrams.get();
+    let per_source = stats.per_source();
+    let frames_from_udp = per_source
+        .iter()
+        .find(|(id, _)| *id == logpipeline::listener::UDP_SOURCE)
+        .map_or(0, |(_, c)| c.frames);
+    let frames_from_tcp: u64 = per_source
+        .iter()
+        .filter(|(id, _)| *id != logpipeline::listener::UDP_SOURCE)
+        .map(|(_, c)| c.frames)
+        .sum();
+    let report = listener.shutdown();
+
+    assert!(udp_datagrams > 0, "no datagram arrived: {report:?}");
+    assert!(udp_datagrams <= DATAGRAMS);
+    assert_eq!(udp_datagrams, frames_from_udp, "one datagram = one frame");
+    assert_eq!(frames_from_tcp, TCP_CONNS * TCP_FRAMES);
+    assert_eq!(report.frames, frames_from_udp + frames_from_tcp);
+    assert_eq!(
+        report.frames,
+        report.ingested + report.shed + report.parse_errors,
+        "frame ledger must balance: {report:?}"
+    );
+    assert_eq!(store.len() as u64, report.ingested);
+    assert_eq!(report.connections, TCP_CONNS);
+
+    // Per-connection FIFO: whatever survived shedding is stored in the
+    // order the connection sent it.
+    for c in 0..TCP_CONNS {
+        let mut rows = store.search(0, i64::MAX / 2, &[format!("tcp{c:02}")]);
+        rows.sort_by_key(|r| r.id);
+        let seqs: Vec<&str> = rows
+            .iter()
+            .map(|r| r.message.rsplit(' ').next().unwrap())
+            .collect();
+        assert!(
+            seqs.windows(2).all(|w| w[0] < w[1]),
+            "connection {c} reordered: {seqs:?}"
+        );
+    }
 }

@@ -13,23 +13,12 @@
 //! * classification results are bit-identical across shard counts.
 
 use hetsyslog_core::{Category, IngestSnapshot, MonitorService, Prediction, TextClassifier};
+use logpipeline::testsupport::{wait_until, SlowStub};
 use logpipeline::{DropReason, ListenerConfig, LogStore, OverloadPolicy, SyslogListener};
 use std::io::Write;
 use std::net::{TcpStream, UdpSocket};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Poll `cond` until it holds or `deadline_ms` passes.
-fn wait_until(deadline_ms: u64, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    cond()
-}
+use std::time::Duration;
 
 /// Deterministic content-keyed classifier: the predicted category depends
 /// only on the message bytes, so per-category totals must be identical no
@@ -47,21 +36,6 @@ impl TextClassifier for ParityStub {
         } else {
             Prediction::bare(Category::ThermalIssue)
         }
-    }
-}
-
-/// A classifier that takes a fixed time per message, to make the bounded
-/// rings actually fill and shed under load.
-struct SlowStub(Duration);
-
-impl TextClassifier for SlowStub {
-    fn name(&self) -> String {
-        "slow-stub".to_string()
-    }
-
-    fn classify(&self, _message: &str) -> Prediction {
-        std::thread::sleep(self.0);
-        Prediction::bare(Category::Unimportant)
     }
 }
 

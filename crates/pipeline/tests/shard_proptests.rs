@@ -45,7 +45,7 @@ fn simulate(
             router.partitioner().shard_for_connection(conn)
         };
         router
-            .try_send(shard, (conn, *seq))
+            .send_many(shard, [(conn, *seq)])
             .expect("sized above frame count");
         *seq += 1;
     }

@@ -1,41 +1,13 @@
-//! Offline shim for `crossbeam`.
-//!
-//! Provides `crossbeam::channel::bounded` — a blocking, cloneable MPMC
-//! channel built on a `Mutex<VecDeque>` ring plus two condvars. Semantics
-//! match the crossbeam subset the workspace relies on: `send` blocks while
-//! the buffer is full, errors once all receivers are gone, and `Receiver::iter`
-//! drains until every sender has hung up.
+//! Offline shim for `crossbeam`, reduced to what this workspace uses: the
+//! bounded SPSC ring with a batch-steal side door in [`spsc`] — the
+//! per-shard queue of the live pipeline — and, in [`channel`], the error
+//! and status types its operations return (named and placed as in the
+//! real crate, so call sites read the same).
 
 pub mod channel {
-    use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
 
-    struct State<T> {
-        queue: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-    }
-
-    struct Shared<T> {
-        state: Mutex<State<T>>,
-        capacity: usize,
-        not_empty: Condvar,
-        not_full: Condvar,
-    }
-
-    /// Sending half of a bounded channel.
-    pub struct Sender<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// Receiving half of a bounded channel.
-    pub struct Receiver<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// Error returned when sending into a channel with no receivers left.
+    /// Error returned when sending into a ring whose consumer is gone.
     #[derive(Debug, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
 
@@ -45,7 +17,7 @@ pub mod channel {
         }
     }
 
-    /// Error returned when receiving from an empty, disconnected channel.
+    /// Error returned when receiving from an empty, disconnected ring.
     #[derive(Debug, PartialEq, Eq)]
     pub struct RecvError;
 
@@ -55,27 +27,13 @@ pub mod channel {
         }
     }
 
-    /// Error returned by [`Sender::try_send`].
+    /// Error returned by a non-blocking send.
     #[derive(Debug, PartialEq, Eq)]
     pub enum TrySendError<T> {
-        /// The channel is at capacity; the value is handed back.
+        /// The ring is at capacity; the value is handed back.
         Full(T),
-        /// Every receiver has been dropped; the value is handed back.
+        /// The consumer has been dropped; the value is handed back.
         Disconnected(T),
-    }
-
-    impl<T> TrySendError<T> {
-        /// Recover the value that could not be sent.
-        pub fn into_inner(self) -> T {
-            match self {
-                TrySendError::Full(v) | TrySendError::Disconnected(v) => v,
-            }
-        }
-
-        /// True when the failure was a full buffer (overload, not hangup).
-        pub fn is_full(&self) -> bool {
-            matches!(self, TrySendError::Full(_))
-        }
     }
 
     impl<T> fmt::Display for TrySendError<T> {
@@ -87,44 +45,12 @@ pub mod channel {
         }
     }
 
-    /// Error returned by [`Receiver::recv_timeout`].
+    /// Error returned by a deadline-bounded receive.
     #[derive(Debug, PartialEq, Eq)]
     pub enum RecvTimeoutError {
-        /// The deadline passed with the channel still empty.
+        /// The deadline passed with the ring still empty.
         Timeout,
-        /// The channel is empty and every sender has been dropped.
-        Disconnected,
-    }
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty (senders may still exist).
-        Empty,
-        /// The channel is empty and every sender has been dropped.
-        Disconnected,
-    }
-
-    impl fmt::Display for TryRecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TryRecvError::Empty => f.write_str("receiving on an empty channel"),
-                TryRecvError::Disconnected => {
-                    f.write_str("receiving on an empty, disconnected channel")
-                }
-            }
-        }
-    }
-
-    /// Why a [`Receiver::drain_into`] call stopped filling its batch.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum DrainStatus {
-        /// The batch reached `max` items before the deadline.
-        Filled,
-        /// The deadline passed first; the batch holds whatever arrived.
-        DeadlineExpired,
-        /// Every sender hung up; the batch holds everything that was left
-        /// in the queue (nothing is lost on the way out).
+        /// The ring is empty and the producer has been dropped.
         Disconnected,
     }
 
@@ -139,629 +65,17 @@ pub mod channel {
         }
     }
 
-    /// Create a bounded channel holding at most `cap` in-flight items.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::with_capacity(cap.max(1)),
-                senders: 1,
-                receivers: 1,
-            }),
-            capacity: cap.max(1),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        });
-        (
-            Sender {
-                shared: Arc::clone(&shared),
-            },
-            Receiver { shared },
-        )
-    }
-
-    impl<T> Sender<T> {
-        /// Block until there is room, then enqueue `value`. Errors if every
-        /// receiver has been dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut state = self.shared.state.lock().unwrap();
-            loop {
-                if state.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                if state.queue.len() < self.shared.capacity {
-                    state.queue.push_back(value);
-                    self.shared.not_empty.notify_one();
-                    return Ok(());
-                }
-                state = self.shared.not_full.wait(state).unwrap();
-            }
-        }
-
-        /// Enqueue without blocking; fails immediately when the buffer is
-        /// full (load-shedding) or every receiver is gone.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut state = self.shared.state.lock().unwrap();
-            if state.receivers == 0 {
-                return Err(TrySendError::Disconnected(value));
-            }
-            if state.queue.len() >= self.shared.capacity {
-                return Err(TrySendError::Full(value));
-            }
-            state.queue.push_back(value);
-            self.shared.not_empty.notify_one();
-            Ok(())
-        }
-
-        /// Enqueue every item, blocking whenever the buffer is full. The
-        /// producer-side mirror of [`Receiver::drain_into`]: each run of
-        /// free capacity is filled in ONE critical section with ONE
-        /// `not_empty` notification, instead of a lock + notify per item.
-        /// Errors once every receiver is gone; items pushed before the
-        /// hangup stay queued (and are lost with the channel, exactly as
-        /// with per-item `send`).
-        pub fn send_many(&self, items: impl IntoIterator<Item = T>) -> Result<(), SendError<()>> {
-            let mut items = items.into_iter().peekable();
-            if items.peek().is_none() {
-                return Ok(());
-            }
-            let mut state = self.shared.state.lock().unwrap();
-            loop {
-                if state.receivers == 0 {
-                    return Err(SendError(()));
-                }
-                let mut pushed = false;
-                while state.queue.len() < self.shared.capacity {
-                    match items.next() {
-                        Some(value) => {
-                            state.queue.push_back(value);
-                            pushed = true;
-                        }
-                        None => break,
-                    }
-                }
-                if pushed {
-                    // A bulk push can satisfy many parked receivers at once.
-                    self.shared.not_empty.notify_all();
-                }
-                if items.peek().is_none() {
-                    return Ok(());
-                }
-                state = self.shared.not_full.wait(state).unwrap();
-            }
-        }
-
-        /// Enqueue as many items as fit right now, without blocking, and
-        /// hand back the overflow. One critical section for the whole
-        /// batch. The load-shedding mirror of [`Sender::send_many`]: the
-        /// caller owns the rejected tail (for dead-letter accounting).
-        /// Errors with all items returned once every receiver is gone.
-        pub fn try_send_many(
-            &self,
-            items: impl IntoIterator<Item = T>,
-        ) -> Result<Vec<T>, SendError<Vec<T>>> {
-            let mut items = items.into_iter();
-            let mut state = self.shared.state.lock().unwrap();
-            if state.receivers == 0 {
-                return Err(SendError(items.collect()));
-            }
-            let mut pushed = false;
-            while state.queue.len() < self.shared.capacity {
-                match items.next() {
-                    Some(value) => {
-                        state.queue.push_back(value);
-                        pushed = true;
-                    }
-                    None => break,
-                }
-            }
-            if pushed {
-                self.shared.not_empty.notify_all();
-            }
-            drop(state);
-            Ok(items.collect())
-        }
-
-        /// Items currently queued (a snapshot; racy by nature).
-        pub fn len(&self) -> usize {
-            self.shared.state.lock().unwrap().queue.len()
-        }
-
-        /// True when no items are queued right now.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// The channel's fixed capacity.
-        pub fn capacity(&self) -> usize {
-            self.shared.capacity
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.shared.state.lock().unwrap().senders += 1;
-            Sender {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut state = self.shared.state.lock().unwrap();
-            state.senders -= 1;
-            if state.senders == 0 {
-                // Wake receivers parked in recv so they observe the hangup.
-                self.shared.not_empty.notify_all();
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Block until an item arrives. Errors once the channel is empty and
-        /// every sender has been dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut state = self.shared.state.lock().unwrap();
-            loop {
-                if let Some(value) = state.queue.pop_front() {
-                    self.shared.not_full.notify_one();
-                    return Ok(value);
-                }
-                if state.senders == 0 {
-                    return Err(RecvError);
-                }
-                state = self.shared.not_empty.wait(state).unwrap();
-            }
-        }
-
-        /// Pop an item without blocking.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = self.shared.state.lock().unwrap();
-            if let Some(value) = state.queue.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(value);
-            }
-            if state.senders == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            Err(TryRecvError::Empty)
-        }
-
-        /// Block until an item arrives or `timeout` elapses.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.recv_deadline(Instant::now() + timeout)
-        }
-
-        /// Block until an item arrives or `deadline` passes. Items already
-        /// queued are always delivered, even past the deadline or after
-        /// every sender hung up.
-        pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
-            let mut state = self.shared.state.lock().unwrap();
-            loop {
-                if let Some(value) = state.queue.pop_front() {
-                    self.shared.not_full.notify_one();
-                    return Ok(value);
-                }
-                if state.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                let Some(remaining) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    return Err(RecvTimeoutError::Timeout);
-                };
-                let (guard, result) = self
-                    .shared
-                    .not_empty
-                    .wait_timeout(state, remaining)
-                    .unwrap();
-                state = guard;
-                if result.timed_out() && state.queue.is_empty() {
-                    if state.senders == 0 {
-                        return Err(RecvTimeoutError::Disconnected);
-                    }
-                    return Err(RecvTimeoutError::Timeout);
-                }
-            }
-        }
-
-        /// Deadline-bounded batch drain: append received items to `buf`
-        /// until it holds `max` items, `deadline` passes, or every sender
-        /// hangs up — whichever comes first. The returned [`DrainStatus`]
-        /// says which. Items already queued at hangup are still drained
-        /// (up to `max`), so a graceful producer shutdown loses nothing.
-        ///
-        /// Everything already queued is moved in ONE critical section per
-        /// wakeup — not one lock acquisition per item — so a worker pulling
-        /// 64-frame batches touches the channel mutex ~64x less often than
-        /// a `recv` loop. This is where micro-batching's synchronization
-        /// win comes from.
-        ///
-        /// This is the fill stage of a drain-up-to-B-or-deadline-T
-        /// micro-batching loop: block on [`Receiver::recv`] for the first
-        /// item, then `drain_into` the rest of the batch.
-        pub fn drain_into(&self, buf: &mut Vec<T>, max: usize, deadline: Instant) -> DrainStatus {
-            let mut state = self.shared.state.lock().unwrap();
-            loop {
-                let before = buf.len();
-                while buf.len() < max {
-                    match state.queue.pop_front() {
-                        Some(value) => buf.push(value),
-                        None => break,
-                    }
-                }
-                match buf.len() - before {
-                    0 => {}
-                    // One freed slot satisfies exactly one parked sender;
-                    // notify_all here would be a thundering herd (everyone
-                    // else finds the queue full again and re-parks).
-                    1 => {
-                        self.shared.not_full.notify_one();
-                    }
-                    // More than one slot freed must wake every parked
-                    // sender. notify_one strands the rest: a woken scalar
-                    // `send` pushes one item and notifies only `not_empty`,
-                    // so if the drainer goes off to process its batch (or
-                    // exits), senders 2..k sleep beside free capacity until
-                    // the next drain — a lost wakeup, not a herd. The herd
-                    // cost is bounded by the freed run: at most `freed`
-                    // senders find room, the rest re-park once.
-                    _ => self.shared.not_full.notify_all(),
-                }
-                if buf.len() >= max {
-                    return DrainStatus::Filled;
-                }
-                if state.senders == 0 {
-                    return DrainStatus::Disconnected;
-                }
-                let Some(remaining) = deadline
-                    .checked_duration_since(Instant::now())
-                    .filter(|d| !d.is_zero())
-                else {
-                    return DrainStatus::DeadlineExpired;
-                };
-                let (guard, _timed_out) = self
-                    .shared
-                    .not_empty
-                    .wait_timeout(state, remaining)
-                    .unwrap();
-                state = guard;
-            }
-        }
-
-        /// Blocking iterator over received items; ends when the channel is
-        /// empty and disconnected.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { receiver: self }
-        }
-
-        /// Items currently queued (a snapshot; racy by nature).
-        pub fn len(&self) -> usize {
-            self.shared.state.lock().unwrap().queue.len()
-        }
-
-        /// True when no items are queued right now.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// The channel's fixed capacity.
-        pub fn capacity(&self) -> usize {
-            self.shared.capacity
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.shared.state.lock().unwrap().receivers += 1;
-            Receiver {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let mut state = self.shared.state.lock().unwrap();
-            state.receivers -= 1;
-            if state.receivers == 0 {
-                // Wake senders parked in send so they observe the hangup.
-                self.shared.not_full.notify_all();
-            }
-        }
-    }
-
-    /// Blocking iterator returned by [`Receiver::iter`].
-    pub struct Iter<'a, T> {
-        receiver: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-
-        fn next(&mut self) -> Option<T> {
-            self.receiver.recv().ok()
-        }
-    }
-
-    impl<'a, T> IntoIterator for &'a Receiver<T> {
-        type Item = T;
-        type IntoIter = Iter<'a, T>;
-
-        fn into_iter(self) -> Iter<'a, T> {
-            self.iter()
-        }
+    /// Why a `drain_into` call stopped filling its batch.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum DrainStatus {
+        /// The batch reached `max` items before the deadline.
+        Filled,
+        /// The deadline passed first; the batch holds whatever arrived.
+        DeadlineExpired,
+        /// The producer hung up; the batch holds everything that was left
+        /// in the queue (nothing is lost on the way out).
+        Disconnected,
     }
 }
 
 pub mod spsc;
-
-#[cfg(test)]
-mod tests {
-    use super::channel;
-
-    #[test]
-    fn mpmc_fanout_drains_everything() {
-        let (tx, rx) = channel::bounded::<usize>(4);
-        let producers: Vec<_> = (0..3)
-            .map(|p| {
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    for i in 0..100 {
-                        tx.send(p * 1000 + i).unwrap();
-                    }
-                })
-            })
-            .collect();
-        drop(tx);
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let rx = rx.clone();
-                std::thread::spawn(move || rx.iter().count())
-            })
-            .collect();
-        drop(rx);
-        for p in producers {
-            p.join().unwrap();
-        }
-        let total: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
-        assert_eq!(total, 300);
-    }
-
-    #[test]
-    fn send_fails_after_receiver_drop() {
-        let (tx, rx) = channel::bounded::<u8>(1);
-        drop(rx);
-        assert!(tx.send(7).is_err());
-    }
-
-    #[test]
-    fn try_send_sheds_when_full() {
-        let (tx, rx) = channel::bounded::<u8>(2);
-        assert!(tx.try_send(1).is_ok());
-        assert!(tx.try_send(2).is_ok());
-        match tx.try_send(3) {
-            Err(channel::TrySendError::Full(v)) => assert_eq!(v, 3),
-            other => panic!("expected Full, got {other:?}"),
-        }
-        assert_eq!(rx.recv(), Ok(1));
-        assert!(tx.try_send(3).is_ok());
-        drop(rx);
-        assert!(matches!(
-            tx.try_send(4),
-            Err(channel::TrySendError::Disconnected(4))
-        ));
-    }
-
-    #[test]
-    fn try_recv_reports_empty_then_disconnected() {
-        let (tx, rx) = channel::bounded::<u8>(2);
-        assert_eq!(rx.try_recv(), Err(channel::TryRecvError::Empty));
-        tx.send(5).unwrap();
-        assert_eq!(rx.try_recv(), Ok(5));
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(channel::TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn drain_into_times_out_on_empty_queue() {
-        let (_tx, rx) = channel::bounded::<u8>(4);
-        let mut buf = Vec::new();
-        let t0 = std::time::Instant::now();
-        let status = rx.drain_into(
-            &mut buf,
-            4,
-            std::time::Instant::now() + std::time::Duration::from_millis(30),
-        );
-        assert_eq!(status, channel::DrainStatus::DeadlineExpired);
-        assert!(buf.is_empty());
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(25));
-    }
-
-    #[test]
-    fn drain_into_partial_fill_stops_at_deadline() {
-        let (tx, rx) = channel::bounded::<u8>(8);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        let mut buf = Vec::new();
-        let status = rx.drain_into(
-            &mut buf,
-            8,
-            std::time::Instant::now() + std::time::Duration::from_millis(20),
-        );
-        assert_eq!(status, channel::DrainStatus::DeadlineExpired);
-        assert_eq!(buf, vec![1, 2]);
-    }
-
-    #[test]
-    fn drain_into_fills_to_max_and_leaves_the_rest() {
-        let (tx, rx) = channel::bounded::<u8>(8);
-        for v in 0..6 {
-            tx.send(v).unwrap();
-        }
-        let mut buf = Vec::new();
-        let status = rx.drain_into(
-            &mut buf,
-            4,
-            std::time::Instant::now() + std::time::Duration::from_secs(5),
-        );
-        assert_eq!(status, channel::DrainStatus::Filled);
-        assert_eq!(buf, vec![0, 1, 2, 3]);
-        assert_eq!(rx.recv(), Ok(4), "items beyond max stay queued");
-    }
-
-    #[test]
-    fn drain_into_disconnected_sender_flushes_backlog() {
-        let (tx, rx) = channel::bounded::<u8>(8);
-        tx.send(7).unwrap();
-        tx.send(8).unwrap();
-        drop(tx);
-        let mut buf = Vec::new();
-        // A far deadline: disconnection must end the drain, not the clock,
-        // and the queued backlog must be flushed first (lossless drain).
-        let t0 = std::time::Instant::now();
-        let status = rx.drain_into(
-            &mut buf,
-            8,
-            std::time::Instant::now() + std::time::Duration::from_secs(30),
-        );
-        assert_eq!(status, channel::DrainStatus::Disconnected);
-        assert_eq!(buf, vec![7, 8]);
-        assert!(t0.elapsed() < std::time::Duration::from_secs(5));
-    }
-
-    #[test]
-    fn drain_into_wakes_promptly_when_sender_hangs_up_mid_wait() {
-        let (tx, rx) = channel::bounded::<u8>(4);
-        let waiter = std::thread::spawn(move || {
-            let mut buf = Vec::new();
-            let status = rx.drain_into(
-                &mut buf,
-                4,
-                std::time::Instant::now() + std::time::Duration::from_secs(30),
-            );
-            (status, buf)
-        });
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        tx.send(3).unwrap();
-        drop(tx);
-        let (status, buf) = waiter.join().unwrap();
-        assert_eq!(status, channel::DrainStatus::Disconnected);
-        assert_eq!(buf, vec![3]);
-    }
-
-    #[test]
-    fn drain_into_wakes_every_sender_the_freed_slots_can_satisfy() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        // Three scalar senders park on a full 3-deep channel. One drain
-        // frees all 3 slots at once; every parked sender must complete
-        // without another drain happening. Under the old notify_one wakeup
-        // only one sender woke (its push notifies not_empty, nobody else),
-        // leaving two asleep beside free capacity.
-        let (tx, rx) = channel::bounded::<u8>(3);
-        for v in 0..3 {
-            tx.send(v).unwrap();
-        }
-        let completed = Arc::new(AtomicUsize::new(0));
-        let senders: Vec<_> = (0..3)
-            .map(|v| {
-                let tx = tx.clone();
-                let completed = Arc::clone(&completed);
-                std::thread::spawn(move || {
-                    tx.send(10 + v).unwrap();
-                    completed.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        // Let all three senders reach the full queue and park.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert_eq!(
-            completed.load(Ordering::SeqCst),
-            0,
-            "senders must be parked"
-        );
-
-        let mut buf = Vec::new();
-        let status = rx.drain_into(
-            &mut buf,
-            3,
-            std::time::Instant::now() + std::time::Duration::from_millis(200),
-        );
-        assert_eq!(status, channel::DrainStatus::Filled);
-        assert_eq!(buf, vec![0, 1, 2]);
-
-        // No further drains: the single notify round must be enough.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while completed.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(
-            completed.load(Ordering::SeqCst),
-            3,
-            "a drain freeing 3 slots must wake all 3 parked senders"
-        );
-        for s in senders {
-            s.join().unwrap();
-        }
-        let mut rest: Vec<u8> = (0..3).map(|_| rx.recv().unwrap()).collect();
-        rest.sort_unstable();
-        assert_eq!(rest, vec![10, 11, 12]);
-    }
-
-    #[test]
-    fn send_many_blocks_until_capacity_frees_and_delivers_in_order() {
-        let (tx, rx) = channel::bounded::<u8>(2);
-        let producer = std::thread::spawn(move || tx.send_many(0..6).is_ok());
-        let mut got = Vec::new();
-        for _ in 0..6 {
-            got.push(rx.recv().unwrap());
-        }
-        assert!(producer.join().unwrap());
-        assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn send_many_errors_when_receivers_gone() {
-        let (tx, rx) = channel::bounded::<u8>(2);
-        drop(rx);
-        assert!(tx.send_many(0..3).is_err());
-        assert!(
-            tx.send_many(std::iter::empty()).is_ok(),
-            "empty batch is a no-op"
-        );
-    }
-
-    #[test]
-    fn try_send_many_returns_overflow_tail() {
-        let (tx, rx) = channel::bounded::<u8>(3);
-        let rejected = tx.try_send_many(0..5).unwrap();
-        assert_eq!(rejected, vec![3, 4], "first 3 fit, tail handed back");
-        assert_eq!(rx.recv(), Ok(0));
-        assert_eq!(tx.try_send_many(10..11).unwrap(), Vec::<u8>::new());
-        drop(rx);
-        assert_eq!(
-            tx.try_send_many(20..22),
-            Err(channel::SendError(vec![20, 21]))
-        );
-    }
-
-    #[test]
-    fn recv_timeout_times_out_then_delivers() {
-        let (tx, rx) = channel::bounded::<u8>(1);
-        assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_millis(20)),
-            Err(channel::RecvTimeoutError::Timeout)
-        );
-        tx.send(9).unwrap();
-        assert_eq!(rx.recv_timeout(std::time::Duration::from_millis(20)), Ok(9));
-        drop(tx);
-        assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_millis(20)),
-            Err(channel::RecvTimeoutError::Disconnected)
-        );
-    }
-}

@@ -43,8 +43,8 @@ struct RingShared<T> {
 impl<T> RingShared<T> {
     /// Wake the producer after `freed` slots opened up. One slot wakes one
     /// parked `push`; more than one must wake everything parked, or a
-    /// producer blocked in `push_many` mid-batch could strand (the
-    /// lost-wakeup shape audited in the MPMC shim's `drain_into`).
+    /// producer blocked in `push_many` mid-batch could strand beside
+    /// free capacity until the next drain — a lost wakeup.
     fn notify_freed(&self, freed: usize) {
         match freed {
             0 => {}
@@ -267,8 +267,7 @@ impl<T> RingConsumer<T> {
         }
     }
 
-    /// Deadline-bounded batch drain with the exact semantics of the MPMC
-    /// shim's `Receiver::drain_into`: append to `buf` until it holds `max`
+    /// Deadline-bounded batch drain: append to `buf` until it holds `max`
     /// items, `deadline` passes, or the producer hangs up — draining
     /// whatever is queued first, so a graceful shutdown loses nothing.
     /// Every run of queued items moves in one critical section.

@@ -58,7 +58,7 @@ fn usage_and_exit() -> ! {
          \x20 classify   --model FILE [--explain]           classify stdin lines\n\
          \x20 eval       --scale F [--drop-unimportant]     run the Figure 3 evaluation\n\
          \x20 monitor    --frames N --workers N [--sink SPEC]... [--spill DIR]  simulate real-time monitoring\n\
-         \x20            [--frontend threads|reactor[:threads=N] [--conns N]]   replay over a live TCP listener\n\
+         \x20            [--frontend reactor[:threads=N] [--conns N]]   replay over a live TCP listener\n\
          \x20 top        --addr HOST:PORT [--interval-ms N] one-shot dashboard from a /metrics scrape\n\
          \x20            [--watch [--iterations N]]         live refresh + /alerts panel (time-series ring)\n\
          \x20 flight     export --addr HOST:PORT [--out FILE]  dump the /flight time-series ring as JSON\n\
@@ -336,10 +336,9 @@ fn parse_sink_specs(opts: &Opts, registry: &Registry) -> Result<Vec<SinkSpec>, S
     Ok(specs)
 }
 
-/// Parse a `--frontend` spec: `threads`, `reactor`, or `reactor:threads=N`.
+/// Parse a `--frontend` spec: `reactor` or `reactor:threads=N`.
 fn parse_frontend(spec: &str) -> Result<Frontend, String> {
     match spec.split_once(':') {
-        None if spec == "threads" => Ok(Frontend::Threads),
         None if spec == "reactor" => Ok(Frontend::Reactor { threads: 0 }),
         Some(("reactor", arg)) => {
             let n = arg
@@ -350,7 +349,7 @@ fn parse_frontend(spec: &str) -> Result<Frontend, String> {
             Ok(Frontend::Reactor { threads: n })
         }
         _ => Err(format!(
-            "unknown front end {spec:?} (want threads, reactor, or reactor:threads=N)"
+            "unknown front end {spec:?} (want reactor or reactor:threads=N)"
         )),
     }
 }
@@ -389,9 +388,8 @@ fn cmd_monitor(opts: &Opts) -> Result<(), String> {
     .collect();
     let (ingested, seconds) = if let Some(frontend) = frontend {
         // Replay the stream over loopback TCP through the real listener,
-        // exercising the chosen front end (epoll reactor or one thread
-        // per connection) end to end: framing, shard routing, batched
-        // classification, store, and sink fan-out.
+        // exercising the reactor front end end to end: framing, shard
+        // routing, batched classification, store, and sink fan-out.
         run_monitor_listener(opts, frontend, workers, &stream, &store, &service, &fan_out)?
     } else {
         let mut ingest = ClassifyingIngest::new(store.clone(), service.clone(), workers);
@@ -451,7 +449,7 @@ fn cmd_monitor(opts: &Opts) -> Result<(), String> {
 }
 
 /// The `--frontend` monitor path: start a real [`SyslogListener`] on
-/// loopback with the requested TCP front end, split the frame stream
+/// loopback with the requested reactor pool, split the frame stream
 /// across `--conns` octet-counting senders, wait for the drain, and
 /// return `(ingested, seconds)`. The listener's graceful shutdown also
 /// drains the sink fan-out, so the caller's `FanOut::shutdown` is a no-op.
@@ -617,11 +615,10 @@ fn write_dashboard(
     if udp > 0.0 {
         writeln!(
             out,
-            "udp      datagrams {:>7}  ({:>8.0}/s)   bytes {:>12}   truncated {:>6}",
+            "udp      datagrams {:>7}  ({:>8.0}/s)   bytes {:>12}",
             udp as u64,
             rate("hetsyslog_udp_datagrams_total"),
             latest("hetsyslog_udp_bytes_total", &[]) as u64,
-            latest("hetsyslog_udp_truncated_total", &[]) as u64,
         )?;
     }
     writeln!(
