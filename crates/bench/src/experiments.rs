@@ -797,10 +797,19 @@ fn live_batch_run(
     max_batch: usize,
     instrumented: bool,
 ) -> LiveBatchBench {
-    let store = Arc::new(LogStore::new());
-    let service = Arc::new(MonitorService::new(clf));
+    // Each run gets its own store and service; the instrumented arm builds
+    // them on the telemetry registry so their series export. The trained
+    // classifier is shared and keeps its own instruments either way.
+    let telemetry = instrumented.then(obs::Telemetry::new_arc);
+    let mut store = LogStore::new();
+    let mut service = MonitorService::new(clf);
+    if let Some(t) = &telemetry {
+        store = store.with_registry(&t.registry);
+        service = service.with_registry(&t.registry);
+    }
+    let service = Arc::new(service);
     let listener = SyslogListener::start(
-        store,
+        Arc::new(store),
         Some(service.clone()),
         ListenerConfig {
             // Two parse workers: sized for the small benchmark hosts this
@@ -811,12 +820,12 @@ fn live_batch_run(
             idle_timeout: Duration::from_secs(30),
             max_batch,
             max_delay: Duration::from_millis(2),
-            // The overhead gate's "instrumented" arm: full registry-backed
-            // telemetry with the scrape endpoint up (nobody scraping), the
-            // flight-recorder sampler ticking at its default cadence, and a
-            // representative alert rule evaluated on every sample — the gate
-            // measures the whole observability stack, not just counters.
-            telemetry: instrumented.then(obs::Telemetry::new_arc),
+            // The overhead gate's "instrumented" arm: the same instruments
+            // exported on a shared registry, batch spans, the scrape
+            // endpoint up (nobody scraping), the flight-recorder sampler
+            // ticking at its default cadence, and a representative alert
+            // rule evaluated on every sample.
+            telemetry,
             serve_metrics: instrumented,
             record_flight: instrumented,
             alert_rules: if instrumented {
@@ -1182,9 +1191,12 @@ pub fn xp_throughput(args: &ExpArgs) -> ExperimentOutput {
 }
 
 /// The telemetry overhead gate: the live micro-batched listener path at
-/// `max_batch = 64`, with all instruments detached vs. registered on a
-/// live registry (spans on, scrape endpoint up, flight-recorder sampler
-/// ticking, one alert rule evaluated per sample). Returned as a standalone
+/// `max_batch = 64`. Both arms record the same instruments on the same
+/// hot path; the instrumented arm adds what a scraped deployment adds —
+/// export on a shared registry, batch spans, the scrape endpoint, the
+/// flight-recorder sampler and one alert rule evaluated per sample. Each
+/// run builds its own store and service; the trained classifier is shared
+/// and nothing mutates it between arms. Returned as a standalone
 /// JSON section for `BENCH_throughput.json` — deliberately NOT part of
 /// [`xp_throughput`]'s conformance value, so goldens never see it.
 ///

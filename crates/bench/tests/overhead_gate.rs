@@ -1,7 +1,8 @@
-//! The telemetry overhead gate (release-only, run explicitly in CI):
-//! the fully instrumented live listener path — registry-backed counters
-//! and histograms at every stage, batch spans, scrape endpoint up — must
-//! sustain at least 95% of the uninstrumented throughput at the
+//! The telemetry overhead gate (release-only, run explicitly in CI).
+//! Both arms run the same instruments on the same hot path; the
+//! instrumented arm adds registry export, batch spans, the flight-recorder
+//! sampler, an alert rule and the scrape endpoint, and must sustain at
+//! least 95% of the uninstrumented arm's throughput at the
 //! `max_batch = 64` setting of the live_batching sweep.
 //!
 //! Run: `cargo test -p bench --release --test overhead_gate -- --ignored`

@@ -13,7 +13,6 @@ use crate::features::{FeatureConfig, FeaturePipeline};
 use crate::taxonomy::Category;
 use editdist::bucketing::{BucketStore, BucketingConfig};
 use hetsyslog_ml::{BatchClassifier, Classifier, Dataset};
-use parking_lot::RwLock;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -53,17 +52,10 @@ pub trait TextClassifier: Send + Sync {
     fn classify_batch(&self, messages: &[&str]) -> Vec<Prediction> {
         messages.par_iter().map(|m| self.classify(m)).collect()
     }
-
-    /// Register this classifier's internal stage instruments (per-stage
-    /// latency histograms, matrix counters) with a telemetry registry.
-    /// The default is a no-op: classifiers without internal stages have
-    /// nothing to report, and an un-attached classifier records nothing.
-    fn attach_telemetry(&self, _registry: &obs::Registry) {}
 }
 
-/// Registered handles for the two CSR stages of the batch classify path.
-/// Held behind an `RwLock<Option<..>>` so an un-attached pipeline pays one
-/// relaxed read-lock check and nothing else.
+/// Instruments of the two CSR stages of the batch classify path,
+/// registered once when the pipeline is built.
 struct CsrStageMetrics {
     transform_us: Arc<obs::Histogram>,
     predict_us: Arc<obs::Histogram>,
@@ -77,12 +69,49 @@ struct CsrStageMetrics {
     margin_milli: Arc<obs::Histogram>,
 }
 
+impl CsrStageMetrics {
+    fn registered(registry: &obs::Registry, model: &str) -> CsrStageMetrics {
+        let stage = |name: &str| {
+            registry.histogram(
+                "hetsyslog_stage_duration_us",
+                "Per-stage batch processing time in microseconds",
+                &[("stage", name)],
+            )
+        };
+        CsrStageMetrics {
+            transform_us: stage("tokenize_transform"),
+            predict_us: stage("predict"),
+            rows: registry.counter(
+                "hetsyslog_transform_rows_total",
+                "Rows vectorized into CSR batch matrices",
+                &[],
+            ),
+            nnz: registry.counter(
+                "hetsyslog_transform_nnz_total",
+                "Non-zero entries across CSR batch matrices",
+                &[],
+            ),
+            matrix_bytes: registry.counter(
+                "hetsyslog_transform_matrix_bytes_total",
+                "Heap bytes allocated for CSR batch matrices (cumulative)",
+                &[],
+            ),
+            margin_milli: registry.histogram(
+                "hetsyslog_model_confidence_margin_milli",
+                "Winner-vs-runner-up decision-score gap per batch prediction, \
+                 in thousandths",
+                &[("model", model)],
+            ),
+        }
+    }
+}
+
 /// §4.3 preprocessing + a traditional ML model.
 pub struct TraditionalPipeline {
     pipeline: FeaturePipeline,
     model: Box<dyn BatchClassifier>,
     explain_top_k: usize,
-    stage_metrics: RwLock<Option<CsrStageMetrics>>,
+    stage_metrics: CsrStageMetrics,
 }
 
 impl TraditionalPipeline {
@@ -99,11 +128,21 @@ impl TraditionalPipeline {
         let data = Dataset::new(features, labels, Category::all_labels());
         model.fit(&data);
         TraditionalPipeline {
+            stage_metrics: CsrStageMetrics::registered(&obs::Registry::new(), model.name()),
             pipeline,
             model,
             explain_top_k: 5,
-            stage_metrics: RwLock::new(None),
         }
+    }
+
+    /// Export the CSR-stage histograms, matrix counters and the
+    /// per-prediction margin histogram on `registry`. Without this call
+    /// the same instruments record on a registry nobody scrapes. A
+    /// construction-time builder: the instruments start from zero, and a
+    /// pipeline already shared behind an `Arc` cannot be rebound.
+    pub fn with_registry(mut self, registry: &obs::Registry) -> TraditionalPipeline {
+        self.stage_metrics = CsrStageMetrics::registered(registry, self.model.name());
+        self
     }
 
     /// The fitted feature pipeline.
@@ -148,79 +187,28 @@ impl TextClassifier for TraditionalPipeline {
 
     fn classify_batch(&self, messages: &[&str]) -> Vec<Prediction> {
         // Matrix-at-a-time: vectorize into one CSR matrix, score it with
-        // the model's batch kernel. Explanations are skipped on the batch
-        // path (they are for interactive use); the predictions themselves
-        // are bit-identical to per-message `classify`.
-        let metrics = self.stage_metrics.read();
-        let t0 = metrics.as_ref().map(|_| Instant::now());
+        // the model's scored batch kernel. Explanations are skipped on the
+        // batch path (they are for interactive use); the predictions
+        // themselves are bit-identical to per-message `classify`.
+        let m = &self.stage_metrics;
+        let t0 = Instant::now();
         let matrix = self.pipeline.transform_batch_csr(messages);
-        let t1 = t0.map(|t0| {
-            let now = Instant::now();
-            if let Some(m) = metrics.as_ref() {
-                m.transform_us.record_duration_us(now - t0);
-                m.rows.add(matrix.n_rows() as u64);
-                m.nnz.add(matrix.nnz() as u64);
-                m.matrix_bytes.add(matrix.heap_bytes() as u64);
-            }
-            now
-        });
-        // The scored kernel reuses the plain kernel's accumulation and
-        // decision rule, so predictions stay bit-identical; the margins
-        // only exist to feed the telemetry histogram, so an un-attached
-        // pipeline takes the plain path.
-        let (indices, margins) = if metrics.is_some() {
-            self.model.predict_csr_scored(&matrix)
-        } else {
-            (self.model.predict_csr(&matrix), None)
-        };
-        if let (Some(t1), Some(m)) = (t1, metrics.as_ref()) {
-            m.predict_us.record_duration_us(t1.elapsed());
-            if let Some(margins) = &margins {
-                for &margin in margins {
-                    m.margin_milli.record((margin * 1000.0) as u64);
-                }
-            }
+        let t1 = Instant::now();
+        m.transform_us.record_duration_us(t1 - t0);
+        m.rows.add(matrix.n_rows() as u64);
+        m.nnz.add(matrix.nnz() as u64);
+        m.matrix_bytes.add(matrix.heap_bytes() as u64);
+        // Models without a meaningful margin (kNN) return `None` and
+        // record nothing on the margin histogram.
+        let (indices, margins) = self.model.predict_csr_scored(&matrix);
+        m.predict_us.record_duration_us(t1.elapsed());
+        for margin in margins.into_iter().flatten() {
+            m.margin_milli.record((margin * 1000.0) as u64);
         }
-        drop(metrics);
         indices
             .into_iter()
             .map(|i| Prediction::bare(Category::from_index(i).unwrap_or(Category::Unimportant)))
             .collect()
-    }
-
-    fn attach_telemetry(&self, registry: &obs::Registry) {
-        let stage = |name: &str| {
-            registry.histogram(
-                "hetsyslog_stage_duration_us",
-                "Per-stage batch processing time in microseconds",
-                &[("stage", name)],
-            )
-        };
-        *self.stage_metrics.write() = Some(CsrStageMetrics {
-            transform_us: stage("tokenize_transform"),
-            predict_us: stage("predict"),
-            rows: registry.counter(
-                "hetsyslog_transform_rows_total",
-                "Rows vectorized into CSR batch matrices",
-                &[],
-            ),
-            nnz: registry.counter(
-                "hetsyslog_transform_nnz_total",
-                "Non-zero entries across CSR batch matrices",
-                &[],
-            ),
-            matrix_bytes: registry.counter(
-                "hetsyslog_transform_matrix_bytes_total",
-                "Heap bytes allocated for CSR batch matrices (cumulative)",
-                &[],
-            ),
-            margin_milli: registry.histogram(
-                "hetsyslog_model_confidence_margin_milli",
-                "Winner-vs-runner-up decision-score gap per batch prediction, \
-                 in thousandths",
-                &[("model", self.model.name())],
-            ),
-        });
     }
 }
 
@@ -418,27 +406,31 @@ mod tests {
         }
     }
 
+    /// One body: a pipeline nobody wired to a registry still times its
+    /// stages and records one margin per row, and a registry-bound one
+    /// exports exactly that.
     #[test]
-    fn attached_telemetry_records_margins_without_changing_predictions() {
+    fn classify_batch_always_records_margins_and_agrees_with_scalar() {
         let corpus = tiny_corpus();
-        let model = Box::new(ComplementNaiveBayes::new(ComplementNbConfig::default()));
-        let clf = TraditionalPipeline::train(feature_cfg(), model, &corpus);
         let msgs = ["cpu temperature throttled", "sshd connection closed"];
-        let plain: Vec<_> = clf
-            .classify_batch(&msgs)
-            .iter()
-            .map(|p| p.category)
-            .collect();
-
+        let train = || {
+            let model = Box::new(ComplementNaiveBayes::new(ComplementNbConfig::default()));
+            TraditionalPipeline::train(feature_cfg(), model, &corpus)
+        };
+        let default_built = train();
         let registry = obs::Registry::new();
-        clf.attach_telemetry(&registry);
-        let attached: Vec<_> = clf
-            .classify_batch(&msgs)
-            .iter()
-            .map(|p| p.category)
-            .collect();
-        assert_eq!(plain, attached);
-
+        let bound = train().with_registry(&registry);
+        for clf in [&default_built, &bound] {
+            let batch = clf.classify_batch(&msgs);
+            for (m, b) in msgs.iter().zip(&batch) {
+                assert_eq!(clf.classify(m).category, b.category);
+            }
+            let metrics = &clf.stage_metrics;
+            assert_eq!(metrics.margin_milli.count(), msgs.len() as u64);
+            assert_eq!(metrics.rows.get(), msgs.len() as u64);
+            assert_eq!(metrics.transform_us.count(), 1);
+            assert_eq!(metrics.predict_us.count(), 1);
+        }
         let series = registry.gather();
         let margins = series
             .iter()

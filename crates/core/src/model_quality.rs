@@ -24,7 +24,7 @@
 //! scalar/batch parity guarantees extend to the quality layer.
 
 use crate::taxonomy::Category;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -36,20 +36,13 @@ pub const DEFAULT_WINDOW_LEN: usize = 512;
 
 const N_CATEGORIES: usize = 8;
 
-/// Registry-backed (or detached) instruments for the quality layer.
+/// The quality layer's instruments, registered once at construction.
 struct QualityInstruments {
     per_category: [Arc<obs::Counter>; N_CATEGORIES],
     psi_milli: Arc<obs::Gauge>,
 }
 
 impl QualityInstruments {
-    fn detached() -> QualityInstruments {
-        QualityInstruments {
-            per_category: std::array::from_fn(|_| Arc::new(obs::Counter::new())),
-            psi_milli: Arc::new(obs::Gauge::new()),
-        }
-    }
-
     fn registered(registry: &obs::Registry) -> QualityInstruments {
         QualityInstruments {
             per_category: std::array::from_fn(|i| {
@@ -68,19 +61,6 @@ impl QualityInstruments {
             ),
         }
     }
-
-    /// Carry accumulated values onto `self` from `old`, guarding against
-    /// the same-instrument case (re-attachment to the same registry).
-    fn carry_over(&self, old: &QualityInstruments) {
-        for (new, prev) in self.per_category.iter().zip(&old.per_category) {
-            if !Arc::ptr_eq(new, prev) {
-                new.add(prev.get());
-            }
-        }
-        if !Arc::ptr_eq(&self.psi_milli, &old.psi_milli) {
-            self.psi_milli.set(old.psi_milli.get());
-        }
-    }
 }
 
 /// Baseline-vs-window category share accounting.
@@ -94,7 +74,7 @@ struct DriftState {
 
 /// Serving-time model-quality instruments; see the module docs.
 pub struct ModelQuality {
-    instruments: RwLock<QualityInstruments>,
+    instruments: QualityInstruments,
     drift: Mutex<DriftState>,
     baseline_target: u64,
     window_len: usize,
@@ -109,7 +89,7 @@ impl ModelQuality {
     /// Explicit baseline / window sizing (both clamped to at least 1).
     pub fn with_config(baseline_target: u64, window_len: usize) -> ModelQuality {
         ModelQuality {
-            instruments: RwLock::new(QualityInstruments::detached()),
+            instruments: QualityInstruments::registered(&obs::Registry::new()),
             drift: Mutex::new(DriftState {
                 baseline: [0; N_CATEGORIES],
                 baseline_total: 0,
@@ -130,7 +110,7 @@ impl ModelQuality {
         if categories.is_empty() {
             return;
         }
-        let instruments = self.instruments.read();
+        let instruments = &self.instruments;
         let mut drift = self.drift.lock();
         for &category in categories {
             let c = category.index();
@@ -182,13 +162,12 @@ impl ModelQuality {
         self.drift.lock().frozen
     }
 
-    /// Move the instruments onto a shared registry, carrying accumulated
-    /// values over exactly. Idempotent per registry.
-    pub fn attach_telemetry(&self, registry: &obs::Registry) {
-        let mut instruments = self.instruments.write();
-        let registered = QualityInstruments::registered(registry);
-        registered.carry_over(&instruments);
-        *instruments = registered;
+    /// Export the prediction counters and the PSI gauge on `registry`
+    /// (without this call they record on a registry nobody scrapes). A
+    /// construction-time builder: the instruments start from zero.
+    pub fn with_registry(mut self, registry: &obs::Registry) -> ModelQuality {
+        self.instruments = QualityInstruments::registered(registry);
+        self
     }
 }
 
@@ -277,12 +256,11 @@ mod tests {
     }
 
     #[test]
-    fn attach_telemetry_carries_counts_and_sets_gauge() {
-        let q = ModelQuality::with_config(4, 4);
+    fn built_with_registry_exports_counts_and_gauge() {
+        let registry = obs::Registry::new();
+        let q = ModelQuality::with_config(4, 4).with_registry(&registry);
         q.record(&[cat(0), cat(0), cat(1), cat(1)]);
         q.record(&[cat(2), cat(2)]);
-        let registry = obs::Registry::new();
-        q.attach_telemetry(&registry);
         assert_eq!(
             registry.counter_value(
                 "hetsyslog_model_predictions_total",
@@ -290,24 +268,11 @@ mod tests {
             ),
             Some(2)
         );
-        // Gauge value carried over, and future records update the
-        // registry-backed gauge in place.
-        let carried = registry
-            .gauge_value("hetsyslog_model_drift_psi_milli", &[])
-            .unwrap();
-        q.record(&[cat(3)]);
-        let after = registry
-            .gauge_value("hetsyslog_model_drift_psi_milli", &[])
-            .unwrap();
-        assert!(after != carried || after > 0);
-        // Re-attaching the same registry never double-counts.
-        q.attach_telemetry(&registry);
+        let psi_milli = (q.psi().unwrap() * 1000.0).round() as i64;
+        assert!(psi_milli > 0);
         assert_eq!(
-            registry.counter_value(
-                "hetsyslog_model_predictions_total",
-                &[("category", cat(0).label())]
-            ),
-            Some(2)
+            registry.gauge_value("hetsyslog_model_drift_psi_milli", &[]),
+            Some(psi_milli)
         );
     }
 }

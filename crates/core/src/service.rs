@@ -11,7 +11,7 @@ use crate::classify::{Prediction, TextClassifier};
 use crate::filter::NoiseFilter;
 use crate::model_quality::ModelQuality;
 use crate::taxonomy::Category;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -114,11 +114,9 @@ impl MonitorStats {
     }
 }
 
-/// The monitor's live counters: `obs` instruments instead of a locked
-/// struct. A fresh service starts with *detached* instruments (recording
-/// works, nothing is exported); [`MonitorService::attach_telemetry`] swaps
-/// in registry-backed handles, carrying accumulated values over, so the
-/// same counters then feed both [`MonitorService::stats`] and `/metrics`.
+/// The monitor's live counters: `obs` instruments registered once at
+/// construction, so the same atomics feed [`MonitorService::stats`] and —
+/// for a service built [`MonitorService::with_registry`] — `/metrics`.
 struct ServiceCounters {
     total: Arc<obs::Counter>,
     prefiltered: Arc<obs::Counter>,
@@ -128,16 +126,6 @@ struct ServiceCounters {
 }
 
 impl ServiceCounters {
-    fn detached() -> ServiceCounters {
-        ServiceCounters {
-            total: Arc::new(obs::Counter::new()),
-            prefiltered: Arc::new(obs::Counter::new()),
-            per_category: std::array::from_fn(|_| Arc::new(obs::Counter::new())),
-            alerts: Arc::new(obs::Counter::new()),
-            parse_us: Arc::new(obs::Histogram::new()),
-        }
-    }
-
     fn registered(registry: &obs::Registry) -> ServiceCounters {
         ServiceCounters {
             total: registry.counter(
@@ -168,26 +156,6 @@ impl ServiceCounters {
                 "Per-stage batch processing time in microseconds",
                 &[("stage", "parse")],
             ),
-        }
-    }
-
-    /// Move accumulated values from `old` into `self`, skipping any
-    /// instrument that is already the same allocation (re-attaching the
-    /// same registry must not double-count).
-    fn carry_over(&self, old: &ServiceCounters) {
-        fn carry(new: &Arc<obs::Counter>, old: &Arc<obs::Counter>) {
-            if !Arc::ptr_eq(new, old) {
-                new.add(old.get());
-            }
-        }
-        carry(&self.total, &old.total);
-        carry(&self.prefiltered, &old.prefiltered);
-        for (new, old) in self.per_category.iter().zip(&old.per_category) {
-            carry(new, old);
-        }
-        carry(&self.alerts, &old.alerts);
-        if !Arc::ptr_eq(&self.parse_us, &old.parse_us) {
-            self.parse_us.merge_from(&old.parse_us);
         }
     }
 
@@ -304,15 +272,14 @@ pub struct MonitorService {
     classifier: Arc<dyn TextClassifier>,
     prefilter: Option<NoiseFilter>,
     sink: Option<Arc<dyn AlertSink>>,
-    counters: RwLock<ServiceCounters>,
+    counters: ServiceCounters,
     /// Max alerts per category per throttle window (`None` = unthrottled).
     throttle: Option<u64>,
     /// Messages per throttle window.
     throttle_window: u64,
     /// Alerts sent per category within the current window.
     window_state: Mutex<([u64; 8], u64)>,
-    /// Prediction-share counters + PSI drift gauge (always on; detached
-    /// instruments until [`MonitorService::attach_telemetry`]).
+    /// Prediction-share counters + PSI drift gauge (always on).
     quality: ModelQuality,
 }
 
@@ -323,7 +290,7 @@ impl MonitorService {
             classifier,
             prefilter: None,
             sink: None,
-            counters: RwLock::new(ServiceCounters::detached()),
+            counters: ServiceCounters::registered(&obs::Registry::new()),
             throttle: None,
             throttle_window: 10_000,
             window_state: Mutex::new(([0; 8], 0)),
@@ -332,8 +299,22 @@ impl MonitorService {
     }
 
     /// Replace the model-quality accounting (baseline / window sizing).
+    /// Call before [`MonitorService::with_registry`], which binds
+    /// whichever quality layer the service holds at that point.
     pub fn with_model_quality(mut self, quality: ModelQuality) -> MonitorService {
         self.quality = quality;
+        self
+    }
+
+    /// Export this service's counters, its parse-stage histogram and its
+    /// model-quality instruments on `registry` (without this call they
+    /// record on a registry nobody scrapes). A construction-time builder:
+    /// the instruments start from zero. The classifier is bound
+    /// separately, before it is shared — see
+    /// [`TraditionalPipeline::with_registry`](crate::TraditionalPipeline::with_registry).
+    pub fn with_registry(mut self, registry: &obs::Registry) -> MonitorService {
+        self.counters = ServiceCounters::registered(registry);
+        self.quality = self.quality.with_registry(registry);
         self
     }
 
@@ -372,71 +353,79 @@ impl MonitorService {
     /// dropped the message.
     pub fn ingest(&self, message: &str) -> Option<Prediction> {
         let noise = self.prefilter.as_ref().is_some_and(|f| f.is_noise(message));
-        let counters = self.counters.read();
-        counters.total.inc();
+        self.counters.total.inc();
         if noise {
-            counters.prefiltered.inc();
+            self.counters.prefiltered.inc();
             return None;
         }
         let prediction = self.classifier.classify(message);
-        counters.per_category[prediction.category.index()].inc();
+        self.counters.per_category[prediction.category.index()].inc();
         self.quality.record(&[prediction.category]);
-        if prediction.category.is_actionable() {
-            if let Some(sink) = &self.sink {
-                if self.alert_permitted(prediction.category) {
-                    counters.alerts.inc();
-                    sink.send(Alert {
-                        category: prediction.category,
-                        message: message.to_string(),
-                        action: prediction.category.suggested_action().to_string(),
-                    });
-                }
-            }
-        }
+        self.alert_if_actionable(prediction.category, message);
         Some(prediction)
+    }
+
+    /// Send the alert for an actionable classification, budget permitting.
+    fn alert_if_actionable(&self, category: Category, message: &str) {
+        if !category.is_actionable() {
+            return;
+        }
+        let Some(sink) = &self.sink else { return };
+        if self.alert_permitted(category) {
+            self.counters.alerts.inc();
+            sink.send(Alert {
+                category,
+                message: message.to_string(),
+                action: category.suggested_action().to_string(),
+            });
+        }
     }
 
     /// Process a batch of messages through the classifier's batch path.
     ///
-    /// Three passes that together observe the exact same stats/alert
-    /// sequence as calling [`MonitorService::ingest`] per message in order:
-    /// a sequential pre-filter pass (counting totals and drops), one
-    /// [`TextClassifier::classify_batch`] call over the survivors (the
-    /// matrix-at-a-time CSR path for traditional pipelines), and a
-    /// sequential merge applying category counters and alert throttling in
-    /// input order.
+    /// Observes the exact same stats/alert sequence as calling
+    /// [`MonitorService::ingest`] per message in order.
     pub fn ingest_batch(&self, messages: &[&str]) -> Vec<Option<Prediction>> {
-        let counters = self.counters.read();
+        self.ingest_present(messages.iter().copied().map(Some))
+    }
+
+    /// The three passes behind both batch entry points, over the inputs
+    /// that are present (`None` = a frame that failed to parse: skipped,
+    /// never counted): a sequential pre-filter pass (counting totals and
+    /// drops), one [`TextClassifier::classify_batch`] call over the
+    /// survivors (the matrix-at-a-time CSR path for traditional
+    /// pipelines, sharing the token→id cache across the whole batch), and
+    /// a sequential merge applying category counters, alert throttling and
+    /// quality accounting in input order. Slot `i` of the result is the
+    /// prediction for the `i`-th input, `None` when absent or pre-filtered.
+    fn ingest_present<'a>(
+        &self,
+        messages: impl ExactSizeIterator<Item = Option<&'a str>>,
+    ) -> Vec<Option<Prediction>> {
+        let n = messages.len();
         // Pass 1: totals + pre-filter, preserving input order.
-        let mut kept_indices = Vec::with_capacity(messages.len());
-        for (i, message) in messages.iter().enumerate() {
-            counters.total.inc();
+        let mut kept_indices = Vec::with_capacity(n);
+        let mut kept_messages = Vec::with_capacity(n);
+        for (i, message) in messages.enumerate() {
+            let Some(message) = message else { continue };
+            self.counters.total.inc();
             match &self.prefilter {
-                Some(f) if f.is_noise(message) => counters.prefiltered.inc(),
-                _ => kept_indices.push(i),
+                Some(f) if f.is_noise(message) => self.counters.prefiltered.inc(),
+                _ => {
+                    kept_indices.push(i);
+                    kept_messages.push(message);
+                }
             }
         }
         // Pass 2: classify all survivors at once.
-        let kept_messages: Vec<&str> = kept_indices.iter().map(|&i| messages[i]).collect();
         let predictions = self.classifier.classify_batch(&kept_messages);
         // Pass 3: merge counters and alerts back in input order.
-        let mut out: Vec<Option<Prediction>> = vec![None; messages.len()];
+        let mut out: Vec<Option<Prediction>> = vec![None; n];
         let mut categories = Vec::with_capacity(kept_indices.len());
-        for (&i, prediction) in kept_indices.iter().zip(predictions) {
-            counters.per_category[prediction.category.index()].inc();
+        for ((&i, message), prediction) in kept_indices.iter().zip(kept_messages).zip(predictions) {
+            self.counters.per_category[prediction.category.index()].inc();
             categories.push(prediction.category);
-            if prediction.category.is_actionable() {
-                if let Some(sink) = &self.sink {
-                    if self.alert_permitted(prediction.category) {
-                        counters.alerts.inc();
-                        sink.send(Alert {
-                            category: prediction.category,
-                            message: messages[i].to_string(),
-                            action: prediction.category.suggested_action().to_string(),
-                        });
-                    }
-                }
-            }
+            self.alert_if_actionable(prediction.category, message);
             out[i] = Some(prediction);
         }
         // Same category sequence as the scalar path → identical quality
@@ -458,77 +447,20 @@ impl MonitorService {
     /// on each `message` field in input order; predictions are identical
     /// too (`classify_batch` is bit-identical to `classify` on category).
     pub fn ingest_frames(&self, frames: &[&str]) -> Vec<FrameOutcome> {
-        let counters = self.counters.read();
-        // Pass 0: parse every frame (no locks held; parsing is pure).
         let parse_start = Instant::now();
         let parsed: Vec<Option<SyslogMessage>> =
             frames.iter().map(|f| syslog_model::parse(f).ok()).collect();
-        counters.parse_us.record_duration_us(parse_start.elapsed());
-        // Pass 1: totals + pre-filter in input order. The edit-distance
-        // scans run first so concurrent batches prefilter in parallel; the
-        // counting itself is wait-free atomics.
-        let mut kept_indices = Vec::with_capacity(frames.len());
-        let noise: Vec<bool> = parsed
-            .iter()
-            .map(|msg| match (msg, &self.prefilter) {
-                (Some(msg), Some(f)) => f.is_noise(&msg.message),
-                _ => false,
-            })
-            .collect();
-        for (i, msg) in parsed.iter().enumerate() {
-            if msg.is_none() {
-                continue;
-            }
-            counters.total.inc();
-            if noise[i] {
-                counters.prefiltered.inc();
-            } else {
-                kept_indices.push(i);
-            }
-        }
-        // Pass 2: classify all survivors at once (the batched CSR path,
-        // sharing the token→id cache across the whole batch).
-        let kept_messages: Vec<&str> = kept_indices
-            .iter()
-            .map(|&i| {
-                parsed[i]
-                    .as_ref()
-                    .expect("kept index parsed")
-                    .message
-                    .as_str()
-            })
-            .collect();
-        let predictions = self.classifier.classify_batch(&kept_messages);
-        // Pass 3: merge counters and alerts back in input order (same
-        // sequence as the scalar path).
-        let mut slots: Vec<Option<Prediction>> = vec![None; frames.len()];
-        let mut categories = Vec::with_capacity(kept_indices.len());
-        for (&i, prediction) in kept_indices.iter().zip(predictions) {
-            counters.per_category[prediction.category.index()].inc();
-            categories.push(prediction.category);
-            if prediction.category.is_actionable() {
-                if let Some(sink) = &self.sink {
-                    if self.alert_permitted(prediction.category) {
-                        counters.alerts.inc();
-                        sink.send(Alert {
-                            category: prediction.category,
-                            message: parsed[i]
-                                .as_ref()
-                                .expect("kept index parsed")
-                                .message
-                                .clone(),
-                            action: prediction.category.suggested_action().to_string(),
-                        });
-                    }
-                }
-            }
-            slots[i] = Some(prediction);
-        }
-        self.quality.record(&categories);
-        drop(counters);
+        self.counters
+            .parse_us
+            .record_duration_us(parse_start.elapsed());
+        let predictions = self.ingest_present(
+            parsed
+                .iter()
+                .map(|msg| msg.as_ref().map(|m| m.message.as_str())),
+        );
         parsed
             .into_iter()
-            .zip(slots)
+            .zip(predictions)
             .map(|(msg, prediction)| match (msg, prediction) {
                 (Some(message), Some(prediction)) => FrameOutcome::Classified {
                     message,
@@ -563,22 +495,7 @@ impl MonitorService {
 
     /// Snapshot the counters.
     pub fn stats(&self) -> MonitorStats {
-        self.counters.read().snapshot()
-    }
-
-    /// Move this service's counters onto a shared telemetry registry: the
-    /// live instruments become registry-backed (visible on `/metrics`),
-    /// accumulated values carry over exactly, and the classifier gets the
-    /// chance to register its own stage instruments. Idempotent for a
-    /// given registry — re-attaching never double-counts.
-    pub fn attach_telemetry(&self, registry: &obs::Registry) {
-        let mut counters = self.counters.write();
-        let registered = ServiceCounters::registered(registry);
-        registered.carry_over(&counters);
-        *counters = registered;
-        drop(counters);
-        self.quality.attach_telemetry(registry);
-        self.classifier.attach_telemetry(registry);
+        self.counters.snapshot()
     }
 
     /// Combine this service's counters with the ingest-layer counters of
@@ -784,8 +701,10 @@ mod tests {
         let refs: Vec<&str> = messages.iter().map(String::as_str).collect();
         let scalar_svc = MonitorService::new(Arc::new(Stub))
             .with_model_quality(ModelQuality::with_config(20, 20));
+        let registry = obs::Registry::new();
         let batch_svc = MonitorService::new(Arc::new(Stub))
-            .with_model_quality(ModelQuality::with_config(20, 20));
+            .with_model_quality(ModelQuality::with_config(20, 20))
+            .with_registry(&registry);
         for m in &refs {
             scalar_svc.ingest(m);
         }
@@ -795,9 +714,7 @@ mod tests {
             scalar_svc.model_quality().psi(),
             batch_svc.model_quality().psi()
         );
-        // The counters land on a registry via attach_telemetry.
-        let registry = obs::Registry::new();
-        batch_svc.attach_telemetry(&registry);
+        // A quality layer installed before `with_registry` exports there.
         assert_eq!(
             registry.counter_value(
                 "hetsyslog_model_predictions_total",
@@ -838,36 +755,45 @@ mod tests {
     }
 
     #[test]
-    fn attach_telemetry_carries_counts_and_never_double_counts() {
-        let svc = MonitorService::new(Arc::new(Stub));
-        svc.ingest("cpu is hot");
-        svc.ingest("quiet");
-        let before = svc.stats();
-
+    fn built_with_registry_exports_exactly_the_stats_ledger() {
         let registry = obs::Registry::new();
-        svc.attach_telemetry(&registry);
-        // Accumulated values carried over onto the registry instruments…
-        assert_eq!(svc.stats(), before);
+        let mut filter = NoiseFilter::empty(2);
+        filter.add_pattern("known noise line");
+        let sink = Arc::new(CollectingSink::new());
+        let svc = MonitorService::new(Arc::new(Stub))
+            .with_prefilter(filter)
+            .with_alert_sink(sink)
+            .with_registry(&registry);
+        svc.ingest("cpu is hot");
+        svc.ingest_batch(&["quiet", "known noise line", "gpu also hot"]);
+        svc.ingest_frames(&["<13>Oct 11 22:14:15 cn0001 kernel: cpu is hot", ""]);
+
+        let stats = svc.stats();
+        assert_eq!((stats.total, stats.prefiltered, stats.alerts), (5, 1, 3));
+        let counter = |name, labels: &[(&str, &str)]| registry.counter_value(name, labels);
         assert_eq!(
-            registry.counter_value("hetsyslog_monitor_messages_total", &[]),
-            Some(2)
+            counter("hetsyslog_monitor_messages_total", &[]),
+            Some(stats.total)
         );
         assert_eq!(
-            registry.counter_value(
-                "hetsyslog_monitor_classified_total",
-                &[("category", Category::ThermalIssue.label())]
-            ),
-            Some(1)
+            counter("hetsyslog_monitor_prefiltered_total", &[]),
+            Some(stats.prefiltered)
         );
-        // …re-attaching the same registry is a no-op…
-        svc.attach_telemetry(&registry);
-        assert_eq!(svc.stats(), before);
-        // …and new ingests hit the shared instruments directly.
-        svc.ingest("gpu also hot");
         assert_eq!(
-            registry.counter_value("hetsyslog_monitor_messages_total", &[]),
-            Some(3)
+            counter("hetsyslog_monitor_alerts_total", &[]),
+            Some(stats.alerts)
         );
+        for c in Category::ALL {
+            let labels = [("category", c.label())];
+            assert_eq!(
+                counter("hetsyslog_monitor_classified_total", &labels),
+                Some(stats.count(c))
+            );
+            assert_eq!(
+                counter("hetsyslog_model_predictions_total", &labels),
+                Some(stats.count(c))
+            );
+        }
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl BatchClassifier for KNearestNeighbors {
     /// accumulate each query's dot products only against training rows that
     /// share a feature. Accumulation order per training row equals the merge
     /// order of [`SparseVec::dot`], and the vote is the shared
-    /// [`KNearestNeighbors::vote`], so predictions match the scalar path
+    /// `KNearestNeighbors::vote`, so predictions match the scalar path
     /// exactly.
     fn predict_csr(&self, m: &CsrMatrix) -> Vec<usize> {
         assert!(!self.train.is_empty(), "predict before fit");

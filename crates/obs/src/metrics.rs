@@ -262,18 +262,6 @@ impl Histogram {
         }
     }
 
-    /// Add every bucket of `other` into `self` (live merge).
-    pub fn merge_from(&self, other: &Histogram) {
-        for (a, b) in self.buckets.iter().zip(&other.buckets) {
-            let v = b.load(Ordering::Relaxed);
-            if v > 0 {
-                a.fetch_add(v, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
-    }
-
     /// Shorthand for `snapshot().quantile(q)`.
     pub fn quantile(&self, q: f64) -> u64 {
         self.snapshot().quantile(q)
@@ -366,7 +354,5 @@ mod tests {
         assert_eq!(sa.count, 3);
         assert_eq!(sa.sum, 1020);
         assert_eq!(sa.buckets[bucket_index(10)], 2);
-        a.merge_from(&b);
-        assert_eq!(a.snapshot(), sa);
     }
 }

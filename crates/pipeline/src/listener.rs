@@ -397,10 +397,12 @@ pub struct ListenerConfig {
     /// Longest a worker waits past a batch's first frame before flushing
     /// a partial batch; bounds per-frame tail latency under light load.
     pub max_delay: Duration,
-    /// Shared telemetry context. When set, every listener counter and
-    /// histogram is registered on its registry (and the classifier / store
-    /// attach theirs), and batch-granularity spans feed its span log.
-    /// `None` keeps all instruments detached — zero export, same hot path.
+    /// Shared telemetry context. When set, the listener's own counters and
+    /// histograms register on its registry and batch-granularity spans
+    /// feed its span log; `None` registers the same instruments on a
+    /// registry nobody scrapes. The store, the service and the classifier
+    /// export wherever *they* were built (`with_registry`) — pass them the
+    /// same registry for one `/metrics` view of the whole pipeline.
     pub telemetry: Option<Arc<Telemetry>>,
     /// Serve `GET /metrics` (Prometheus text), `GET /health` (JSON), and
     /// `GET /spans` (JSON) on an ephemeral loopback port. Requires

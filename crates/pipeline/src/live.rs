@@ -137,10 +137,12 @@ impl LivePath {
     /// One SPSC ring + one worker per shard (one shard per worker unless
     /// overridden), with the configured queue depth split across the
     /// rings. The store gets one write lane per shard when it has them; a
-    /// single-lane store still works, shards just share lane 0. With
-    /// telemetry attached, every layer registers on the shared registry
-    /// so one `/metrics` scrape sees the whole pipeline; without it, the
-    /// exact same counters register on a registry nobody scrapes.
+    /// single-lane store still works, shards just share lane 0. The
+    /// path's own counters register on `config.telemetry`'s registry, or
+    /// without one on a registry nobody scrapes — the same counters
+    /// either way. The store, the service and the classifier arrive with
+    /// their instruments already bound (their `with_registry` builders);
+    /// nothing is attached here.
     pub(crate) fn start(
         store: Arc<LogStore>,
         service: Option<Arc<MonitorService>>,
@@ -152,16 +154,7 @@ impl LivePath {
             config.workers.max(1)
         };
         let detached = obs::Registry::new();
-        let registry = match &config.telemetry {
-            Some(t) => {
-                store.attach_telemetry(&t.registry);
-                if let Some(service) = &service {
-                    service.attach_telemetry(&t.registry);
-                }
-                &t.registry
-            }
-            None => &detached,
-        };
+        let registry = config.telemetry.as_ref().map_or(&detached, |t| &t.registry);
         let stats = Arc::new(IngestStats::registered(registry));
         let dead_letters = Arc::new(DeadLetterRing::registered(
             config.dead_letter_capacity,
@@ -538,22 +531,23 @@ mod tests {
         let (frames, free_form, empty) = mixed_stream();
         let kept = FRAMES as u64 - empty;
 
-        // (a) TCP listener, two connections.
+        // One TCP listener run, two connections; asserts its ledger.
+        let tcp_run = |store: &Arc<LogStore>, service, config| {
+            let listener =
+                SyslogListener::start(store.clone(), Some(service), config).expect("bind");
+            for half in frames.chunks(FRAMES / 2) {
+                let mut sock = TcpStream::connect(listener.tcp_addr()).expect("connect");
+                sock.write_all(&wire(half)).expect("write");
+            }
+            assert!(wait_until(30_000, || listener.stats().ingested.get() == kept));
+            let tcp = listener.shutdown();
+            assert_eq!(tcp.frames, tcp.ingested + tcp.shed + tcp.parse_errors);
+            assert_eq!((tcp.ingested, tcp.decode_dropped), (kept, empty));
+        };
+
+        // (a) TCP listener, nothing wired to a registry.
         let tcp_store = Arc::new(LogStore::new());
-        let listener = SyslogListener::start(
-            tcp_store.clone(),
-            Some(service()),
-            ListenerConfig::default(),
-        )
-        .expect("bind");
-        for half in frames.chunks(FRAMES / 2) {
-            let mut sock = TcpStream::connect(listener.tcp_addr()).expect("connect");
-            sock.write_all(&wire(half)).expect("write");
-        }
-        assert!(wait_until(30_000, || listener.stats().ingested.get() == kept));
-        let tcp = listener.shutdown();
-        assert_eq!(tcp.frames, tcp.ingested + tcp.shed + tcp.parse_errors);
-        assert_eq!((tcp.ingested, tcp.decode_dropped), (kept, empty));
+        tcp_run(&tcp_store, service(), ListenerConfig::default());
 
         // (b) UDP, paced so the socket buffer never overflows.
         let udp_store = Arc::new(LogStore::new());
@@ -595,6 +589,30 @@ mod tests {
         let report = ClassifyingIngest::new(run_store.clone(), service(), 3).run(frames.clone());
         assert_eq!(report.ingested, kept);
 
+        // (e) the TCP listener again, every layer built on a shared
+        // registry and the listener told about it: same code, exported.
+        let telemetry = obs::Telemetry::new_arc();
+        let registry = &telemetry.registry;
+        let scraped_store = Arc::new(LogStore::new().with_registry(registry));
+        let scraped_service =
+            Arc::new(MonitorService::new(Arc::new(ByContent)).with_registry(registry));
+        tcp_run(
+            &scraped_store,
+            scraped_service.clone(),
+            ListenerConfig {
+                telemetry: Some(telemetry.clone()),
+                ..ListenerConfig::default()
+            },
+        );
+        assert_eq!(
+            registry.counter_value("hetsyslog_store_records_total", &[]),
+            Some(kept)
+        );
+        assert_eq!(
+            registry.counter_value("hetsyslog_monitor_messages_total", &[]),
+            Some(scraped_service.stats().total)
+        );
+
         let reference = stored(&tcp_store);
         assert_eq!(reference.len() as u64, kept);
         assert!(reference
@@ -602,6 +620,7 @@ mod tests {
             .any(|(_, c)| *c == Some(Category::ThermalIssue)));
         assert_eq!(stored(&udp_store), reference);
         assert_eq!(stored(&run_store), reference);
+        assert_eq!(stored(&scraped_store), reference);
         let unclassified = stored(&stream_store);
         assert!(unclassified.iter().all(|(_, c)| c.is_none()));
         assert!(unclassified

@@ -21,7 +21,7 @@
 //! reactor through a mutex-guarded inbox plus an eventfd wake — and the
 //! UDP socket, whose datagrams are frames as they stand.
 //!
-//! Every read goes through the same [`FrameSink`]: a connection lives on
+//! Every read goes through the same `FrameSink`: a connection lives on
 //! exactly one reactor and all its frames route to one shard ring
 //! (per-connection FIFO), Block/Shed overload accounting and the
 //! dead-letter ring sit behind the sink, and the decoder tail is flushed

@@ -622,8 +622,8 @@ impl SinkDropReason {
     }
 }
 
-/// Per-lane instruments (`sink=<name>` on every series). `detached`
-/// records without exporting; `registered` exports on a shared registry.
+/// Per-lane instruments (`sink=<name>` on every series), registered once
+/// when the lane opens.
 #[derive(Debug)]
 struct SinkStats {
     submitted: Arc<Counter>,
@@ -645,27 +645,6 @@ struct SinkStats {
 }
 
 impl SinkStats {
-    fn detached() -> SinkStats {
-        SinkStats {
-            submitted: Arc::new(Counter::new()),
-            delivered: Arc::new(Counter::new()),
-            dropped_shed: Arc::new(Counter::new()),
-            dropped_nacked: Arc::new(Counter::new()),
-            dropped_shutdown: Arc::new(Counter::new()),
-            retries: Arc::new(Counter::new()),
-            nacks: Arc::new(Counter::new()),
-            in_flight: Arc::new(Gauge::new()),
-            submit_us: Arc::new(Histogram::new()),
-            spilled: Arc::new(Counter::new()),
-            replayed: Arc::new(Counter::new()),
-            recovered: Arc::new(Counter::new()),
-            spill_bytes: Arc::new(Counter::new()),
-            spill_sealed: Arc::new(Counter::new()),
-            spill_quarantined: Arc::new(Counter::new()),
-            spill_pending: Arc::new(Gauge::new()),
-        }
-    }
-
     fn registered(registry: &Registry, sink: &str) -> SinkStats {
         let l = &[("sink", sink)][..];
         let dropped = |reason: SinkDropReason| {
@@ -744,6 +723,14 @@ impl SinkStats {
                 "Records sitting in the spill awaiting replay",
                 l,
             ),
+        }
+    }
+
+    fn dropped(&self, reason: SinkDropReason) -> &Counter {
+        match reason {
+            SinkDropReason::Shed => &self.dropped_shed,
+            SinkDropReason::NackedOut => &self.dropped_nacked,
+            SinkDropReason::Shutdown => &self.dropped_shutdown,
         }
     }
 
@@ -831,6 +818,18 @@ struct LaneState {
     closing: bool,
 }
 
+impl LaneState {
+    /// Stamp `records` with the lane's next sequence number.
+    fn number(&mut self, records: &[LogRecord]) -> SinkBatch {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        SinkBatch {
+            seq,
+            records: records.to_vec(),
+        }
+    }
+}
+
 struct Lane {
     name: String,
     sink: Arc<dyn Sink>,
@@ -840,6 +839,29 @@ struct Lane {
 }
 
 impl Lane {
+    /// Make `batch` durable: append it to the spill and count it spilled.
+    /// Without a spill, or when the append fails (unrecoverable for
+    /// durability), count its records dropped under `on_fail` rather than
+    /// wedging the lane. Caller holds the state lock and has already
+    /// taken the batch out of the in-flight window.
+    fn spill_batch(&self, state: &mut LaneState, batch: &SinkBatch, on_fail: SinkDropReason) {
+        let n = batch.records.len() as u64;
+        let Some(spill) = state.spill.as_mut() else {
+            self.stats.dropped(on_fail).add(n);
+            return;
+        };
+        let frame = batch.to_frame();
+        if spill.append(&frame).is_ok() {
+            self.stats.spilled.add(n);
+            self.stats
+                .spill_bytes
+                .add(crate::spill::encoded_len(&frame));
+        } else {
+            self.stats.dropped(on_fail).add(n);
+        }
+        self.sync_spill_gauges(state);
+    }
+
     fn sync_spill_gauges(&self, state: &LaneState) {
         if let Some(spill) = &state.spill {
             self.stats.spill_pending.set(spill.pending_records() as i64);
@@ -850,26 +872,13 @@ impl Lane {
     /// lane to `Spilling`. Caller holds the state lock. `head` (if any) is
     /// older than the queue and spills first.
     fn spill_queue(&self, state: &mut LaneState, head: Option<SinkBatch>) {
-        let spill = state.spill.as_mut().expect("caller checked");
-        let mut moved_records = 0u64;
-        let mut moved_bytes = 0u64;
-        for batch in head.into_iter().chain(state.queue.drain(..)) {
-            let frame = batch.to_frame();
-            moved_records += batch.records.len() as u64;
-            moved_bytes += crate::spill::encoded_len(&frame);
-            // Spill append failures are unrecoverable for durability; fall
-            // back to counting the records dropped rather than wedging.
-            if spill.append(&frame).is_err() {
-                moved_records -= batch.records.len() as u64;
-                moved_bytes -= crate::spill::encoded_len(&frame);
-                self.stats.dropped_nacked.add(batch.records.len() as u64);
-            }
+        let mut queue = std::mem::take(&mut state.queue);
+        for batch in head.into_iter().chain(queue.drain(..)) {
+            self.stats.in_flight.add(-(batch.records.len() as i64));
+            self.spill_batch(state, &batch, SinkDropReason::NackedOut);
         }
-        self.stats.in_flight.add(-(moved_records as i64));
-        self.stats.spilled.add(moved_records);
-        self.stats.spill_bytes.add(moved_bytes);
+        state.queue = queue;
         state.mode = LaneMode::Spilling;
-        self.sync_spill_gauges(state);
     }
 
     fn snapshot(&self) -> SinkSnapshot {
@@ -920,10 +929,7 @@ impl FanOut {
         let mut lanes = Vec::with_capacity(specs.len());
         for spec in specs {
             let name = spec.sink.name().to_string();
-            let stats = match registry {
-                Some(reg) => SinkStats::registered(reg, &name),
-                None => SinkStats::detached(),
-            };
+            let stats = SinkStats::registered(registry.unwrap_or(&Registry::new()), &name);
             let spill = match &spec.config.spill {
                 Some(config) => {
                     let (spill, report) = SpillBuffer::open(config.clone())?;
@@ -993,73 +999,26 @@ impl FanOut {
         loop {
             if state.closing {
                 // Late submission during shutdown: durable if possible.
-                let batch = SinkBatch {
-                    seq: state.next_seq,
-                    records: records.to_vec(),
-                };
-                state.next_seq += 1;
-                if state.spill.is_some() {
-                    let frame = batch.to_frame();
-                    let bytes = crate::spill::encoded_len(&frame);
-                    let spill = state.spill.as_mut().expect("checked");
-                    if spill.append(&frame).is_ok() {
-                        lane.stats.spilled.add(n);
-                        lane.stats.spill_bytes.add(bytes);
-                        lane.sync_spill_gauges(&state);
-                    } else {
-                        lane.stats.dropped_shutdown.add(n);
-                    }
-                } else {
-                    lane.stats.dropped_shutdown.add(n);
-                }
+                let batch = state.number(records);
+                lane.spill_batch(&mut state, &batch, SinkDropReason::Shutdown);
                 return;
             }
             if matches!(state.mode, LaneMode::Spilling) {
-                let batch = SinkBatch {
-                    seq: state.next_seq,
-                    records: records.to_vec(),
-                };
-                state.next_seq += 1;
-                let frame = batch.to_frame();
-                let bytes = crate::spill::encoded_len(&frame);
-                let spill = state.spill.as_mut().expect("Spilling implies spill");
-                if spill.append(&frame).is_ok() {
-                    lane.stats.spilled.add(n);
-                    lane.stats.spill_bytes.add(bytes);
-                } else {
-                    lane.stats.dropped_nacked.add(n);
-                }
-                lane.sync_spill_gauges(&state);
+                let batch = state.number(records);
+                lane.spill_batch(&mut state, &batch, SinkDropReason::NackedOut);
                 return;
             }
             if state.queue.len() < lane.config.window {
-                let batch = SinkBatch {
-                    seq: state.next_seq,
-                    records: records.to_vec(),
-                };
-                state.next_seq += 1;
+                let batch = state.number(records);
                 state.queue.push_back(batch);
                 lane.stats.in_flight.add(n as i64);
                 return;
             }
             // Window full.
             if state.spill.is_some() {
-                let batch = SinkBatch {
-                    seq: state.next_seq,
-                    records: records.to_vec(),
-                };
-                state.next_seq += 1;
+                let batch = state.number(records);
                 lane.spill_queue(&mut state, None);
-                let frame = batch.to_frame();
-                let bytes = crate::spill::encoded_len(&frame);
-                let spill = state.spill.as_mut().expect("checked");
-                if spill.append(&frame).is_ok() {
-                    lane.stats.spilled.add(n);
-                    lane.stats.spill_bytes.add(bytes);
-                } else {
-                    lane.stats.dropped_nacked.add(n);
-                }
-                lane.sync_spill_gauges(&state);
+                lane.spill_batch(&mut state, &batch, SinkDropReason::NackedOut);
                 return;
             }
             match lane.config.overload {
@@ -1230,20 +1189,7 @@ fn lane_worker(lane: &Arc<Lane>, hard_stop: &AtomicBool) {
             // Past the shutdown deadline: durable if possible, no attempts.
             let mut state = lane.state.lock();
             lane.stats.in_flight.add(-(n as i64));
-            if state.spill.is_some() {
-                let frame = batch.to_frame();
-                let bytes = crate::spill::encoded_len(&frame);
-                let spill = state.spill.as_mut().expect("checked");
-                if spill.append(&frame).is_ok() {
-                    lane.stats.spilled.add(n);
-                    lane.stats.spill_bytes.add(bytes);
-                } else {
-                    lane.stats.dropped_shutdown.add(n);
-                }
-                lane.sync_spill_gauges(&state);
-            } else {
-                lane.stats.dropped_shutdown.add(n);
-            }
+            lane.spill_batch(&mut state, &batch, SinkDropReason::Shutdown);
             continue;
         }
 

@@ -33,10 +33,15 @@
 //!
 //! # Lock order
 //!
-//! `shards` map → lane `Shard` → `sealed` map → (no lock) metrics.
-//! Telemetry handles are only ever touched with no storage lock held,
-//! except the coherence rule documented on
-//! [`LogStore::attach_telemetry`].
+//! `shards` map → lane `Shard` → `sealed` map.
+//!
+//! # Instruments
+//!
+//! The store registers its instruments (record counter, shard gauge,
+//! insert/seal latency, `hetsyslog_segment_*` / `hetsyslog_template_*`)
+//! once, when it is built: on the registry given to
+//! [`LogStore::with_registry`], else on a private one nobody scrapes.
+//! They are plain atomics, so they sit outside the lock order.
 
 use crate::columnar::Segment;
 use crate::record::LogRecord;
@@ -125,9 +130,7 @@ fn record_matches(record: &LogRecord, terms: &[String]) -> bool {
     })
 }
 
-/// Registered instrument handles for the insert path, present once
-/// [`LogStore::attach_telemetry`] has run. Un-attached stores pay one
-/// read-lock check per insert call and nothing else.
+/// The store's instruments, registered once at construction.
 #[derive(Debug)]
 struct StoreMetrics {
     records: Arc<obs::Counter>,
@@ -143,148 +146,24 @@ struct StoreMetrics {
     templates_live: Arc<obs::Gauge>,
 }
 
-/// One time window: `lanes` independently locked shards whose union is
-/// the window's contents.
-type TimeSlot = Vec<RwLock<Shard>>;
-
-/// What one seal produced — metric updates are deferred until every
-/// storage lock is released (see the module lock-order note).
-struct SealOutcome {
-    rows: u64,
-    templates: u64,
-    seal_time: std::time::Duration,
-}
-
-/// Monotonic totals mirrored onto the telemetry counters. Kept on the
-/// store itself so [`LogStore::attach_telemetry`] can carry an exact
-/// snapshot: they are only ever bumped while the `metrics` read lock is
-/// held, and the attach path holds the write lock (see the race note
-/// there).
-#[derive(Debug, Default)]
-struct StoreTotals {
-    records: AtomicU64,
-    segments_sealed: AtomicU64,
-    segment_rows: AtomicU64,
-    templates_mined: AtomicU64,
-}
-
-/// The sharded store.
-#[derive(Debug)]
-pub struct LogStore {
-    shards: RwLock<BTreeMap<i64, TimeSlot>>,
-    /// Sealed columnar segments, keyed by time-slot like `shards`; a slot
-    /// accumulates one segment per seal event.
-    sealed: RwLock<BTreeMap<i64, Vec<Arc<Segment>>>>,
-    shard_seconds: i64,
-    lanes: usize,
-    /// Documents per lane shard that trigger an automatic seal
-    /// (0 = never seal automatically).
-    seal_threshold: usize,
-    /// Mining similarity threshold for sealed segments.
-    template_threshold: f64,
-    next_id: AtomicU64,
-    totals: StoreTotals,
-    metrics: RwLock<Option<StoreMetrics>>,
-}
-
-impl Default for LogStore {
-    fn default() -> LogStore {
-        LogStore::new()
-    }
-}
-
-impl LogStore {
-    /// A store with hourly shards and a single lane.
-    pub fn new() -> LogStore {
-        LogStore::with_config(DEFAULT_SHARD_SECONDS, 1)
-    }
-
-    /// A store with custom shard width and a single lane.
-    pub fn with_shard_seconds(shard_seconds: i64) -> LogStore {
-        LogStore::with_config(shard_seconds, 1)
-    }
-
-    /// A store with hourly shards split into `lanes` write lanes — one per
-    /// pipeline shard, so concurrent live writers never share a lock.
-    pub fn with_lanes(lanes: usize) -> LogStore {
-        LogStore::with_config(DEFAULT_SHARD_SECONDS, lanes)
-    }
-
-    /// A store with custom shard width and lane count.
-    pub fn with_config(shard_seconds: i64, lanes: usize) -> LogStore {
-        LogStore {
-            shards: RwLock::new(BTreeMap::new()),
-            sealed: RwLock::new(BTreeMap::new()),
-            shard_seconds: shard_seconds.max(1),
-            lanes: lanes.max(1),
-            seal_threshold: 0,
-            template_threshold: TemplateMiner::DEFAULT_THRESHOLD,
-            next_id: AtomicU64::new(0),
-            totals: StoreTotals::default(),
-            metrics: RwLock::new(None),
-        }
-    }
-
-    /// Enable the sealed columnar tier: a lane shard reaching
-    /// `threshold` documents is sealed into a columnar segment during the
-    /// insert that crossed the threshold (builder-style; pass 0 to keep
-    /// sealing manual via [`LogStore::seal_before`]).
-    pub fn with_sealing(mut self, threshold: usize) -> LogStore {
-        self.seal_threshold = threshold;
-        self
-    }
-
-    /// Override the template-mining similarity threshold (builder-style;
-    /// default [`TemplateMiner::DEFAULT_THRESHOLD`]).
-    pub fn with_template_threshold(mut self, threshold: f64) -> LogStore {
-        self.template_threshold = threshold;
-        self
-    }
-
-    /// Write lanes per time slot.
-    pub fn n_lanes(&self) -> usize {
-        self.lanes
-    }
-
-    fn new_slot(&self) -> TimeSlot {
-        (0..self.lanes)
-            .map(|_| RwLock::new(Shard::default()))
-            .collect()
-    }
-
-    /// Register the store's instruments (record counter, shard gauge,
-    /// insert/seal latency, `hetsyslog_segment_*` / `hetsyslog_template_*`
-    /// families) on a shared telemetry registry. Prior state is carried
-    /// onto the instruments so counters always match the store's ledger;
-    /// re-attaching never double-counts.
-    ///
-    /// Coherence with in-flight inserts: every insert/seal path bumps the
-    /// [`StoreTotals`] atomics and the instrument *while holding the
-    /// `metrics` read lock*; this method holds the write lock, so each
-    /// concurrent insert is either fully reflected in the carried totals
-    /// or lands entirely on the newly attached instruments — never both,
-    /// never neither. (Attaching used to carry `self.len()`, which let an
-    /// insert that was past its shard update but before its counter add
-    /// be counted twice.)
-    pub fn attach_telemetry(&self, registry: &obs::Registry) {
-        let mut slot = self.metrics.write();
-        let metrics = StoreMetrics {
+impl StoreMetrics {
+    fn registered(registry: &obs::Registry) -> StoreMetrics {
+        let stage = |name: &str| {
+            registry.histogram(
+                "hetsyslog_stage_duration_us",
+                "Per-stage batch processing time in microseconds",
+                &[("stage", name)],
+            )
+        };
+        StoreMetrics {
             records: registry.counter(
                 "hetsyslog_store_records_total",
                 "Records inserted into the time-sharded store",
                 &[],
             ),
             shards: registry.gauge("hetsyslog_store_shards", "Open time shards", &[]),
-            insert_us: registry.histogram(
-                "hetsyslog_stage_duration_us",
-                "Per-stage batch processing time in microseconds",
-                &[("stage", "store_insert")],
-            ),
-            seal_us: registry.histogram(
-                "hetsyslog_stage_duration_us",
-                "Per-stage batch processing time in microseconds",
-                &[("stage", "segment_seal")],
-            ),
+            insert_us: stage("store_insert"),
+            seal_us: stage("segment_seal"),
             segments_sealed: registry.counter(
                 "hetsyslog_segment_sealed_total",
                 "Columnar segments sealed from the hot tier",
@@ -320,33 +199,108 @@ impl LogStore {
                 "Distinct template patterns across live segments",
                 &[],
             ),
-        };
-        if slot.is_none() {
-            metrics
-                .records
-                .add(self.totals.records.load(Ordering::Relaxed));
-            metrics
-                .segments_sealed
-                .add(self.totals.segments_sealed.load(Ordering::Relaxed));
-            metrics
-                .segment_rows
-                .add(self.totals.segment_rows.load(Ordering::Relaxed));
-            metrics
-                .templates_mined
-                .add(self.totals.templates_mined.load(Ordering::Relaxed));
         }
-        metrics.shards.set(self.n_shards() as i64);
-        let (live, bytes, raw, patterns) = self.sealed_snapshot();
-        metrics.segments_live.set(live);
-        metrics.segment_bytes.set(bytes);
-        metrics.segment_raw_bytes.set(raw);
-        metrics.templates_live.set(patterns);
-        *slot = Some(metrics);
+    }
+}
+
+/// One time window: `lanes` independently locked shards whose union is
+/// the window's contents.
+type TimeSlot = Vec<RwLock<Shard>>;
+
+/// The sharded store.
+#[derive(Debug)]
+pub struct LogStore {
+    shards: RwLock<BTreeMap<i64, TimeSlot>>,
+    /// Sealed columnar segments, keyed by time-slot like `shards`; a slot
+    /// accumulates one segment per seal event.
+    sealed: RwLock<BTreeMap<i64, Vec<Arc<Segment>>>>,
+    shard_seconds: i64,
+    lanes: usize,
+    /// Documents per lane shard that trigger an automatic seal
+    /// (0 = never seal automatically).
+    seal_threshold: usize,
+    /// Mining similarity threshold for sealed segments.
+    template_threshold: f64,
+    next_id: AtomicU64,
+    metrics: StoreMetrics,
+}
+
+impl Default for LogStore {
+    fn default() -> LogStore {
+        LogStore::new()
+    }
+}
+
+impl LogStore {
+    /// A store with hourly shards and a single lane.
+    pub fn new() -> LogStore {
+        LogStore::with_config(DEFAULT_SHARD_SECONDS, 1)
     }
 
-    /// Gauge inputs for the sealed tier: live segment count, encoded and
-    /// raw bytes, distinct template patterns.
-    fn sealed_snapshot(&self) -> (i64, i64, i64, i64) {
+    /// A store with custom shard width and a single lane.
+    pub fn with_shard_seconds(shard_seconds: i64) -> LogStore {
+        LogStore::with_config(shard_seconds, 1)
+    }
+
+    /// A store with hourly shards split into `lanes` write lanes — one per
+    /// pipeline shard, so concurrent live writers never share a lock.
+    pub fn with_lanes(lanes: usize) -> LogStore {
+        LogStore::with_config(DEFAULT_SHARD_SECONDS, lanes)
+    }
+
+    /// A store with custom shard width and lane count.
+    pub fn with_config(shard_seconds: i64, lanes: usize) -> LogStore {
+        LogStore {
+            shards: RwLock::new(BTreeMap::new()),
+            sealed: RwLock::new(BTreeMap::new()),
+            shard_seconds: shard_seconds.max(1),
+            lanes: lanes.max(1),
+            seal_threshold: 0,
+            template_threshold: TemplateMiner::DEFAULT_THRESHOLD,
+            next_id: AtomicU64::new(0),
+            metrics: StoreMetrics::registered(&obs::Registry::new()),
+        }
+    }
+
+    /// Export the store's instruments on `registry` (builder-style;
+    /// without this call they record on a registry nobody scrapes). A
+    /// construction-time builder: the instruments start from zero, so
+    /// call it before the first insert.
+    pub fn with_registry(mut self, registry: &obs::Registry) -> LogStore {
+        self.metrics = StoreMetrics::registered(registry);
+        self
+    }
+
+    /// Enable the sealed columnar tier: a lane shard reaching
+    /// `threshold` documents is sealed into a columnar segment during the
+    /// insert that crossed the threshold (builder-style; pass 0 to keep
+    /// sealing manual via [`LogStore::seal_before`]).
+    pub fn with_sealing(mut self, threshold: usize) -> LogStore {
+        self.seal_threshold = threshold;
+        self
+    }
+
+    /// Override the template-mining similarity threshold (builder-style;
+    /// default [`TemplateMiner::DEFAULT_THRESHOLD`]).
+    pub fn with_template_threshold(mut self, threshold: f64) -> LogStore {
+        self.template_threshold = threshold;
+        self
+    }
+
+    /// Write lanes per time slot.
+    pub fn n_lanes(&self) -> usize {
+        self.lanes
+    }
+
+    fn new_slot(&self) -> TimeSlot {
+        (0..self.lanes)
+            .map(|_| RwLock::new(Shard::default()))
+            .collect()
+    }
+
+    /// Refresh the live-segment gauges from the sealed tier. Takes the
+    /// sealed-map read lock, so call it with no storage lock held.
+    fn refresh_segment_gauges(&self) {
         let sealed = self.sealed.read();
         let mut segments = 0i64;
         let mut bytes = 0i64;
@@ -361,7 +315,10 @@ impl LogStore {
                 patterns.insert(p.to_string());
             }
         }
-        (segments, bytes, raw, patterns.len() as i64)
+        self.metrics.segments_live.set(segments);
+        self.metrics.segment_bytes.set(bytes);
+        self.metrics.segment_raw_bytes.set(raw);
+        self.metrics.templates_live.set(patterns.len() as i64);
     }
 
     /// Allocate the next document id.
@@ -373,123 +330,32 @@ impl LogStore {
         unix_seconds.div_euclid(self.shard_seconds)
     }
 
-    /// Record `n` inserted rows on the ledger and (if attached) the
-    /// telemetry counter. Must be called with **no storage lock held**;
-    /// takes the metrics read lock to stay coherent with
-    /// [`LogStore::attach_telemetry`].
-    fn note_inserted(&self, n: u64) {
-        let metrics = self.metrics.read();
-        self.totals.records.fetch_add(n, Ordering::Relaxed);
-        if let Some(m) = metrics.as_ref() {
-            m.records.add(n);
-        }
-    }
-
-    /// Refresh the open-shard gauge. `n_shards` is passed in (read from
-    /// whatever map guard the caller just released) so this never takes a
-    /// storage lock of its own.
-    fn note_shard_count(&self, n_shards: usize) {
-        if let Some(m) = self.metrics.read().as_ref() {
-            m.shards.set(n_shards as i64);
-        }
-    }
-
-    /// Record the outcome of one or more seals, with no storage lock
-    /// held. Counters get the exact deltas; gauges are refreshed from the
-    /// sealed tier.
-    fn note_sealed(&self, outcomes: &[SealOutcome]) {
-        if outcomes.is_empty() {
-            return;
-        }
-        let (live, bytes, raw, patterns) = self.sealed_snapshot();
-        let metrics = self.metrics.read();
-        for o in outcomes {
-            self.totals.segments_sealed.fetch_add(1, Ordering::Relaxed);
-            self.totals
-                .segment_rows
-                .fetch_add(o.rows, Ordering::Relaxed);
-            self.totals
-                .templates_mined
-                .fetch_add(o.templates, Ordering::Relaxed);
-        }
-        if let Some(m) = metrics.as_ref() {
-            for o in outcomes {
-                m.segments_sealed.inc();
-                m.segment_rows.add(o.rows);
-                m.templates_mined.add(o.templates);
-                m.seal_us.record_duration_us(o.seal_time);
-            }
-            m.segments_live.set(live);
-            m.segment_bytes.set(bytes);
-            m.segment_raw_bytes.set(raw);
-            m.templates_live.set(patterns);
-        }
-    }
-
-    /// Seal `docs` into a columnar segment under `key`. The caller
-    /// chooses what locks it is holding (threshold seals run under the
-    /// lane write lock so a concurrent scan never observes the rows
+    /// Seal `docs` into a columnar segment under `key` and count it. The
+    /// caller chooses what locks it is holding (threshold seals run under
+    /// the lane write lock so a concurrent scan never observes the rows
     /// missing); the sealed-map write lock is taken here, last in the
-    /// lock order.
-    fn seal_docs(&self, key: i64, docs: Vec<LogRecord>) -> SealOutcome {
+    /// lock order. The caller refreshes the segment gauges once its
+    /// storage locks are released.
+    fn seal_docs(&self, key: i64, docs: Vec<LogRecord>) {
         let started = Instant::now();
         let segment = Segment::build(&docs, self.template_threshold);
-        let outcome = SealOutcome {
-            rows: segment.n_rows() as u64,
-            templates: segment.template_patterns().len() as u64,
-            seal_time: started.elapsed(),
-        };
+        self.metrics.segments_sealed.inc();
+        self.metrics.segment_rows.add(segment.n_rows() as u64);
+        self.metrics
+            .templates_mined
+            .add(segment.template_patterns().len() as u64);
+        self.metrics.seal_us.record_duration_us(started.elapsed());
         self.sealed
             .write()
             .entry(key)
             .or_default()
             .push(Arc::new(segment));
-        outcome
     }
 
     /// Insert a record (its `id` should come from [`LogStore::allocate_id`]).
-    /// Multi-lane stores spread scalar inserts by record id.
+    /// A batch of one: multi-lane stores spread scalar inserts by record id.
     pub fn insert(&self, record: LogRecord) {
-        let key = self.shard_key(record.unix_seconds);
-        let lane = (record.id as usize) % self.lanes;
-        let mut record = Some(record);
-        let mut sealed: Option<SealOutcome> = None;
-        // Fast path: slot exists, take the read lock on the map only.
-        {
-            let shards = self.shards.read();
-            if let Some(slot) = shards.get(&key) {
-                let mut shard = slot[lane].write();
-                shard.insert(record.take().expect("unconsumed"));
-                if self.seal_threshold > 0 && shard.docs.len() >= self.seal_threshold {
-                    let docs = std::mem::take(&mut shard.docs);
-                    shard.index.clear();
-                    sealed = Some(self.seal_docs(key, docs));
-                }
-            }
-        }
-        let Some(record) = record else {
-            self.note_inserted(1);
-            if let Some(outcome) = sealed {
-                self.note_sealed(&[outcome]);
-            }
-            return;
-        };
-        let n_shards = {
-            let mut shards = self.shards.write();
-            shards
-                .entry(key)
-                .or_insert_with(|| self.new_slot())
-                .get(lane)
-                .expect("lane within slot")
-                .write()
-                .insert(record);
-            shards.len()
-        };
-        self.note_inserted(1);
-        // The slow path opened a new time slot (or raced another opener):
-        // refresh the gauge now, not lazily — scalar and batched inserts
-        // agree on when the gauge moves.
-        self.note_shard_count(n_shards);
+        self.insert_batch_affine(record.id as usize, std::iter::once(record))
     }
 
     /// Insert a batch of records, acquiring each time shard's write lock
@@ -516,7 +382,7 @@ impl LogStore {
         let lane = lane_hint % self.lanes;
         let start = Instant::now();
         let mut inserted: u64 = 0;
-        let mut sealed: Vec<SealOutcome> = Vec::new();
+        let mut sealed = false;
         let mut records = records.into_iter().peekable();
         while let Some(first) = records.next() {
             let key = self.shard_key(first.unix_seconds);
@@ -534,7 +400,7 @@ impl LogStore {
                     // Refresh the gauge the moment the slot opens — not
                     // at end of batch — so a batch spanning a slot
                     // boundary never leaves it stale between runs.
-                    self.note_shard_count(n_shards);
+                    self.metrics.shards.set(n_shards as i64);
                     continue;
                 };
                 let mut shard = slot[lane].write();
@@ -550,20 +416,19 @@ impl LogStore {
                 if self.seal_threshold > 0 && shard.docs.len() >= self.seal_threshold {
                     let docs = std::mem::take(&mut shard.docs);
                     shard.index.clear();
-                    sealed.push(self.seal_docs(key, docs));
+                    self.seal_docs(key, docs);
+                    sealed = true;
                 }
                 break;
             }
         }
         if inserted > 0 {
-            let metrics = self.metrics.read();
-            self.totals.records.fetch_add(inserted, Ordering::Relaxed);
-            if let Some(m) = metrics.as_ref() {
-                m.records.add(inserted);
-                m.insert_us.record_duration_us(start.elapsed());
-            }
+            self.metrics.records.add(inserted);
+            self.metrics.insert_us.record_duration_us(start.elapsed());
         }
-        self.note_sealed(&sealed);
+        if sealed {
+            self.refresh_segment_gauges();
+        }
     }
 
     /// Total stored records (hot + sealed).
@@ -776,7 +641,6 @@ impl LogStore {
                 std::mem::replace(&mut *shards, keep).into_iter().collect();
             (detached, shards.len())
         };
-        let mut outcomes = Vec::new();
         let mut rows = 0u64;
         for (key, slot) in detached {
             let mut docs: Vec<LogRecord> = Vec::new();
@@ -787,10 +651,12 @@ impl LogStore {
                 continue;
             }
             rows += docs.len() as u64;
-            outcomes.push(self.seal_docs(key, docs));
+            self.seal_docs(key, docs);
         }
-        self.note_shard_count(n_shards);
-        self.note_sealed(&outcomes);
+        self.metrics.shards.set(n_shards as i64);
+        if rows > 0 {
+            self.refresh_segment_gauges();
+        }
         rows
     }
 
@@ -823,16 +689,10 @@ impl LogStore {
             *sealed = keep;
             evicted
         };
-        self.note_shard_count(n_shards);
+        self.metrics.shards.set(n_shards as i64);
         if evicted_sealed > 0 {
             // Segment gauges shrink; counters (cumulative) stay.
-            let (live, bytes, raw, patterns) = self.sealed_snapshot();
-            if let Some(m) = self.metrics.read().as_ref() {
-                m.segments_live.set(live);
-                m.segment_bytes.set(bytes);
-                m.segment_raw_bytes.set(raw);
-                m.templates_live.set(patterns);
-            }
+            self.refresh_segment_gauges();
         }
         evicted_hot + evicted_sealed
     }
@@ -1156,51 +1016,9 @@ mod tests {
     }
 
     #[test]
-    fn attach_telemetry_concurrent_with_batch_inserts_keeps_counter_exact() {
-        // Regression: attach used to carry `self.len()` onto the counter
-        // while `insert_batch_affine` snapshotted attachment before its
-        // loop — attaching mid-batch double-counted (carry included rows
-        // whose batch then also added them) or undercounted. The carry is
-        // now taken from an internal ledger under the metrics write lock,
-        // which excludes in-flight adders.
-        for round in 0..20 {
-            let store = std::sync::Arc::new(LogStore::with_config(3600, 4));
-            let registry = std::sync::Arc::new(obs::Registry::new());
-            let mut handles = Vec::new();
-            for lane in 0..4usize {
-                let store = store.clone();
-                handles.push(std::thread::spawn(move || {
-                    for chunk in 0..20 {
-                        let batch: Vec<LogRecord> = (0..10)
-                            .map(|i| rec(&store, 100, "cn0", &format!("b {chunk} m {i}")))
-                            .collect();
-                        store.insert_batch_affine(lane, batch);
-                    }
-                }));
-            }
-            // Attach while batches are in flight, at a varying point.
-            for _ in 0..round {
-                std::thread::yield_now();
-            }
-            store.attach_telemetry(&registry);
-            for h in handles {
-                h.join().unwrap();
-            }
-            let counter = registry.counter("hetsyslog_store_records_total", "", &[]);
-            assert_eq!(store.len(), 800);
-            assert_eq!(
-                counter.get(),
-                800,
-                "counter must equal len() after concurrent attach (round {round})"
-            );
-        }
-    }
-
-    #[test]
     fn shard_gauge_tracks_slot_creation_eviction_and_sealing() {
-        let store = LogStore::with_shard_seconds(60);
         let registry = obs::Registry::new();
-        store.attach_telemetry(&registry);
+        let store = LogStore::with_shard_seconds(60).with_registry(&registry);
         let gauge = registry.gauge("hetsyslog_store_shards", "", &[]);
         assert_eq!(gauge.get(), 0);
 
@@ -1228,6 +1046,15 @@ mod tests {
     }
 
     // ------------------------------------------------- sealed-tier tests
+
+    #[test]
+    fn scalar_insert_seals_at_threshold() {
+        // Regression: the scalar insert's slow path (first record of a new
+        // time slot) never checked the seal threshold.
+        let store = LogStore::new().with_sealing(1);
+        store.insert(rec(&store, 100, "cn01", "first record of its slot"));
+        assert_eq!((store.sealed_len(), store.hot_len()), (1, 0));
+    }
 
     #[test]
     fn threshold_sealing_keeps_rows_queryable() {
@@ -1326,21 +1153,16 @@ mod tests {
     }
 
     #[test]
-    fn sealed_tier_telemetry_updates_on_seal_and_attach_carry() {
-        let store = LogStore::with_shard_seconds(60);
+    fn built_with_registry_exports_the_store_ledger() {
+        let registry = obs::Registry::new();
+        let store = LogStore::with_shard_seconds(60).with_registry(&registry);
+        let records = registry.counter("hetsyslog_store_records_total", "", &[]);
         for i in 0..20 {
             store.insert(rec(&store, i, "n", &format!("carry marker {i}")));
         }
+        assert_eq!(records.get(), store.len() as u64);
         store.seal_all();
-        // Attach AFTER sealing: counters carry the pre-attach history.
-        let registry = obs::Registry::new();
-        store.attach_telemetry(&registry);
-        assert_eq!(
-            registry
-                .counter("hetsyslog_store_records_total", "", &[])
-                .get(),
-            20
-        );
+        assert_eq!(records.get(), store.len() as u64, "sealing moves rows");
         assert_eq!(
             registry
                 .counter("hetsyslog_segment_sealed_total", "", &[])
@@ -1365,7 +1187,6 @@ mod tests {
         assert!(raw > 0);
         assert!(registry.gauge("hetsyslog_template_live", "", &[]).get() >= 1);
 
-        // A second seal moves the counters live (no re-carry).
         for i in 0..5 {
             store.insert(rec(&store, 600 + i, "n", &format!("carry marker {i}")));
         }
@@ -1383,30 +1204,16 @@ mod tests {
             25
         );
         assert_eq!(registry.gauge("hetsyslog_segment_live", "", &[]).get(), 2);
+        assert_eq!(records.get(), store.len() as u64);
         // Evicting everything zeroes the live gauges, not the counters.
-        store.evict_before(i64::MAX.div_euclid(60));
+        assert_eq!(store.evict_before(i64::MAX.div_euclid(60)), 25);
+        assert_eq!((records.get(), store.len()), (25, 0));
         assert_eq!(registry.gauge("hetsyslog_segment_live", "", &[]).get(), 0);
         assert_eq!(
             registry
                 .counter("hetsyslog_segment_rows_total", "", &[])
                 .get(),
             25
-        );
-    }
-
-    #[test]
-    fn reattach_does_not_double_count() {
-        let store = LogStore::new();
-        let registry = obs::Registry::new();
-        store.attach_telemetry(&registry);
-        store.insert(rec(&store, 1, "n", "m"));
-        store.attach_telemetry(&registry);
-        store.insert(rec(&store, 2, "n", "m"));
-        assert_eq!(
-            registry
-                .counter("hetsyslog_store_records_total", "", &[])
-                .get(),
-            2
         );
     }
 }

@@ -43,20 +43,27 @@ fn drift_mutated_stream_fires_and_resolves_model_drift_alert() {
         seed: 42,
         min_per_class: 12,
     }));
-    let clf = Arc::new(TraditionalPipeline::train(
-        FeatureConfig::default(),
-        Box::new(ComplementNaiveBayes::new(Default::default())),
-        &corpus,
-    ));
+    let telemetry = obs::Telemetry::new_arc();
+    let registry = &telemetry.registry;
+    let clf = Arc::new(
+        TraditionalPipeline::train(
+            FeatureConfig::default(),
+            Box::new(ComplementNaiveBayes::new(Default::default())),
+            &corpus,
+        )
+        .with_registry(registry),
+    );
     // Small baseline/window so a few hundred messages exercise the whole
     // freeze → drift → recover cycle. 256 samples keeps the PSI sampling
     // noise (≈ 2(k−1)/n ≈ 0.05 for k = 8 categories) far below the 0.25
     // alert threshold.
-    let service =
-        Arc::new(MonitorService::new(clf).with_model_quality(ModelQuality::with_config(256, 256)));
-    let telemetry = obs::Telemetry::new_arc();
+    let service = Arc::new(
+        MonitorService::new(clf)
+            .with_model_quality(ModelQuality::with_config(256, 256))
+            .with_registry(registry),
+    );
     let listener = SyslogListener::start(
-        Arc::new(LogStore::new()),
+        Arc::new(LogStore::new().with_registry(registry)),
         Some(service.clone()),
         ListenerConfig {
             workers: 2,
@@ -214,7 +221,7 @@ fn drift_mutated_stream_fires_and_resolves_model_drift_alert() {
 fn flight_and_alerts_endpoints_serve_json_and_udp_counters_export() {
     let telemetry = obs::Telemetry::new_arc();
     let listener = SyslogListener::start(
-        Arc::new(LogStore::new()),
+        Arc::new(LogStore::new().with_registry(&telemetry.registry)),
         None,
         ListenerConfig {
             telemetry: Some(telemetry),
@@ -314,7 +321,7 @@ fn flight_and_alerts_endpoints_serve_json_and_udp_counters_export() {
 fn flight_recorder_can_be_disabled() {
     let telemetry = obs::Telemetry::new_arc();
     let listener = SyslogListener::start(
-        Arc::new(LogStore::new()),
+        Arc::new(LogStore::new().with_registry(&telemetry.registry)),
         None,
         ListenerConfig {
             telemetry: Some(telemetry),

@@ -465,12 +465,13 @@ fn batched_and_scalar_listeners_agree_on_stored_categories() {
 fn drop_accounting_is_consistent_from_a_single_scrape() {
     for overload in [OverloadPolicy::Block, OverloadPolicy::Shed] {
         let telemetry = obs::Telemetry::new_arc();
-        let store = Arc::new(LogStore::new());
+        let store = Arc::new(LogStore::new().with_registry(&telemetry.registry));
         // A slow classifier under Shed makes the 2-deep queue actually
         // overflow; under Block it only delays the lossless drain.
-        let service = Arc::new(MonitorService::new(Arc::new(SlowStub(
-            Duration::from_millis(2),
-        ))));
+        let service = Arc::new(
+            MonitorService::new(Arc::new(SlowStub(Duration::from_millis(2))))
+                .with_registry(&telemetry.registry),
+        );
         let listener = SyslogListener::start(
             store.clone(),
             Some(service),

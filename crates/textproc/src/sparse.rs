@@ -225,8 +225,8 @@ const VECTORIZE_CHUNK: usize = 256;
 /// whatever the caller needs to amortize across a chunk's items).
 /// `fill_pairs` turns one item into unsorted `(index, value)` pairs
 /// (appended to the supplied scratch) and returns whether the finished row
-/// should be L2-normalized. Pairs are merged with [`merge_pairs_into`] and
-/// normalized with [`l2_normalize_slice`], so each row is bit-identical to
+/// should be L2-normalized. Pairs are merged with `merge_pairs_into` and
+/// normalized with `l2_normalize_slice`, so each row is bit-identical to
 /// `SparseVec::from_pairs(pairs).l2_normalize()` built per item.
 pub fn csr_from_items<T, S, I, F>(items: &[T], n_cols: usize, init: I, fill_pairs: F) -> CsrMatrix
 where

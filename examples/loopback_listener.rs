@@ -33,22 +33,29 @@ fn main() {
         seed: 42,
         min_per_class: 12,
     }));
-    let clf: Arc<dyn TextClassifier> = Arc::new(TraditionalPipeline::train(
-        FeatureConfig::default(),
-        Box::new(ComplementNaiveBayes::new(Default::default())),
-        &corpus,
-    ));
+    // One registry for the whole process: classifier, service and store
+    // are built on it, so one `/metrics` scrape sees every layer.
+    let telemetry = Telemetry::new_arc();
+    let registry = &telemetry.registry;
+    let clf: Arc<dyn TextClassifier> = Arc::new(
+        TraditionalPipeline::train(
+            FeatureConfig::default(),
+            Box::new(ComplementNaiveBayes::new(Default::default())),
+            &corpus,
+        )
+        .with_registry(registry),
+    );
     // Model-quality drift telemetry: a 64-prediction frozen baseline is
     // small enough that this example's ~100 frames freeze it and export a
     // live PSI gauge alongside the per-category prediction shares.
     let service = Arc::new(
         MonitorService::new(clf)
             .with_prefilter(NoiseFilter::train(3, &corpus))
-            .with_model_quality(ModelQuality::with_config(64, 64)),
+            .with_model_quality(ModelQuality::with_config(64, 64))
+            .with_registry(registry),
     );
 
-    let store = Arc::new(LogStore::new());
-    let telemetry = Telemetry::new_arc();
+    let store = Arc::new(LogStore::new().with_registry(registry));
     let listener = SyslogListener::start(
         store.clone(),
         Some(service),

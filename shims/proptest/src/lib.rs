@@ -229,7 +229,7 @@ pub mod collection {
     use super::{Strategy, TestRunner};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length bounds for [`vec`]; concrete `From` impls pin the integer
+    /// Length bounds for [`vec()`]; concrete `From` impls pin the integer
     /// literals in `vec(elem, 1..8)` to `usize` (mirroring proptest).
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
