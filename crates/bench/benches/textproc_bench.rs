@@ -2,9 +2,12 @@
 //! TF-IDF fitting/transforming on realistic syslog text.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use datagen::{generate_corpus, CorpusConfig};
+use datagen::{generate_corpus, CorpusConfig, StreamConfig, StreamGenerator};
 use hetsyslog_core::{FeatureConfig, FeaturePipeline};
-use textproc::{preprocess, tokenize, HashingVectorizer, Lemmatizer, TfidfConfig, TfidfVectorizer};
+use std::collections::HashSet;
+use textproc::{
+    preprocess, tokenize, HashingVectorizer, Lemmatizer, TfidfConfig, TfidfVectorizer, Tokenizer,
+};
 
 fn messages(n: usize) -> Vec<String> {
     generate_corpus(&CorpusConfig {
@@ -98,6 +101,97 @@ fn bench_feature_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
+/// The property the fit-time token table helps, measured: the share of a
+/// live stream's token occurrences whose raw form the training corpus
+/// holds (printed per stream seed, with what the misses are), and what a
+/// live-sized batch costs when every token is a hit, as the stream has
+/// them, and when every token is a miss repeated throughout the batch —
+/// the case the per-batch cache this table replaced served best.
+fn bench_token_table(c: &mut Criterion) {
+    // hsbench's model: the fixed training corpus, seed 42 at scale 0.05.
+    let corpus: Vec<String> = generate_corpus(&CorpusConfig {
+        scale: 0.05,
+        seed: 42,
+        ..CorpusConfig::default()
+    })
+    .into_iter()
+    .map(|m| m.text)
+    .collect();
+    let mut pipeline = FeaturePipeline::new(FeatureConfig::default());
+    pipeline.fit(&corpus);
+    let tokenizer = Tokenizer::default();
+    let mut table: HashSet<String> = HashSet::new();
+    for text in &corpus {
+        tokenizer.tokenize_each(text, |t| {
+            table.insert(t.to_string());
+        });
+    }
+    let stream = |seed: u64, n: usize| -> Vec<String> {
+        let config = StreamConfig {
+            seed,
+            ..StreamConfig::default()
+        };
+        StreamGenerator::new(config)
+            .take(n)
+            .map(|tm| tm.message.text)
+            .collect()
+    };
+
+    println!("\ngroup token_table ({} raw forms)", table.len());
+    for seed in [7, 42, 99] {
+        let messages = stream(seed, 20_000);
+        let (mut occurrences, mut misses) = (0usize, 0usize);
+        let mut missed: HashSet<String> = HashSet::new();
+        for m in &messages {
+            tokenizer.tokenize_each(m, |t| {
+                occurrences += 1;
+                if !table.contains(t) {
+                    misses += 1;
+                    missed.insert(t.to_string());
+                }
+            });
+        }
+        let in_vocabulary = missed
+            .iter()
+            .filter(|t| !pipeline.transform(t).is_empty())
+            .count();
+        println!(
+            "  stream seed {seed}: {:.2} tokens/msg, {:.2} % of occurrences hit, \
+             {:.3} misses/msg, {in_vocabulary} of {} missed forms reach the vocabulary",
+            occurrences as f64 / messages.len() as f64,
+            100.0 * (occurrences - misses) as f64 / occurrences as f64,
+            misses as f64 / messages.len() as f64,
+            missed.len(),
+        );
+    }
+
+    // Eleven tokens no corpus holds (the stream's per-message count),
+    // one message repeated: each of a batch's 64 × 11 occurrences is
+    // resolved the slow way, where a per-batch cache resolved 11.
+    let unseen = "zq17ab zq18ab zq19ab zq20ab zq21ab zq22ab zq23ab zq24ab zq25ab zq26ab zq27ab";
+    let inputs: [(&str, Vec<String>); 3] = [
+        ("batches_of_64/all_hit", corpus[..6400].to_vec()),
+        ("batches_of_64/stream_seed_42", stream(42, 6400)),
+        (
+            "batches_of_64/all_miss_repeated",
+            vec![unseen.to_string(); 6400],
+        ),
+    ];
+    let mut g = c.benchmark_group("token_table");
+    g.throughput(Throughput::Elements(6400));
+    for (name, messages) in &inputs {
+        g.bench_function(*name, |b| {
+            b.iter(|| {
+                messages
+                    .chunks(64)
+                    .map(|batch| pipeline.transform_batch_csr(batch).nnz())
+                    .sum::<usize>()
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_hashing(c: &mut Criterion) {
     let msgs = messages(1000);
     let docs: Vec<Vec<String>> = msgs.iter().map(|m| preprocess(m)).collect();
@@ -115,6 +209,7 @@ criterion_group!(
     bench_preprocess_full,
     bench_tfidf,
     bench_feature_pipeline,
+    bench_token_table,
     bench_hashing
 );
 criterion_main!(benches);

@@ -1,12 +1,25 @@
 //! The preprocessing pipeline of §4.3: tokenize → lemmatize → TF-IDF.
+//!
+//! Two routes to the same feature row. The scalar one —
+//! [`FeaturePipeline::preprocess`] then [`FeaturePipeline::transform`] — is
+//! the paper's per-message pipeline and the oracle the batch route is
+//! tested against. The batch one, [`FeaturePipeline::transform_batch_csr`],
+//! is what the live path runs: what a raw token maps to is a fact about
+//! the fitted pipeline, so [`FeaturePipeline::fit`] works it out once for
+//! every raw token of its corpus and the batch route only looks it up.
+//! The table is never written after `fit`; a token it does not hold is
+//! resolved on the spot and forgotten, so traffic cannot grow it.
 
 use crate::taxonomy::Category;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use textproc::hash::FxHashMap;
 use textproc::sparse::csr_from_items;
 use textproc::tfidf::{category_top_tokens, CategoryTokens};
-use textproc::{CsrMatrix, Lemmatizer, SparseVec, TfidfConfig, TfidfVectorizer, Tokenizer};
+use textproc::{
+    CsrMatrix, Lemmatizer, SparseVec, TfidfConfig, TfidfVectorizer, Tokenizer, Vocabulary,
+};
 
 /// Pipeline options.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,6 +57,14 @@ pub struct FeaturePipeline {
     tokenizer: Tokenizer,
     lemmatizer: Lemmatizer,
     vectorizer: TfidfVectorizer,
+    /// Raw token → vocabulary id for every raw token of the fitting corpus
+    /// (`None`: stopword or out of vocabulary). Written by
+    /// [`FeaturePipeline::fit`] only and read-only afterwards, so its size
+    /// is set by the training corpus, never by the traffic. Empty for
+    /// n-gram pipelines and for models saved before the table existed;
+    /// both resolve every token the slow way.
+    #[serde(default)]
+    token_ids: FxHashMap<String, Option<u32>>,
 }
 
 impl FeaturePipeline {
@@ -55,6 +76,7 @@ impl FeaturePipeline {
             tokenizer: Tokenizer::default(),
             lemmatizer: Lemmatizer::new(),
             vectorizer: TfidfVectorizer::new(tfidf),
+            token_ids: FxHashMap::default(),
         }
     }
 
@@ -75,13 +97,82 @@ impl FeaturePipeline {
         tokens
     }
 
-    /// Fit the TF-IDF stage on a corpus of raw messages.
+    /// What [`Self::preprocess`] makes of one raw token: `None` for a
+    /// stopword (checked on the raw form), else its lemma. Borrows unless
+    /// the lemma had to be spliced together.
+    fn preprocess_token<'a>(&self, token: &'a str) -> Option<Cow<'a, str>> {
+        if self.config.remove_stopwords && textproc::stopwords::is_stopword(token) {
+            return None;
+        }
+        Some(if self.config.lemmatize {
+            self.lemmatizer.lemmatize_cow(token)
+        } else {
+            Cow::Borrowed(token)
+        })
+    }
+
+    /// Fit the TF-IDF stage on a corpus of raw messages, and learn the raw
+    /// token → id table the batch path reads.
+    ///
+    /// One pass over the corpus: every message is tokenized once, every
+    /// *distinct* raw token is preprocessed once, and document frequencies
+    /// are counted over lemma ids — what the vectorizer would count over
+    /// [`Self::preprocess`] of each message, without making those strings.
     pub fn fit(&mut self, messages: &[impl AsRef<str> + Sync]) {
-        let docs: Vec<Vec<String>> = messages
-            .par_iter()
-            .map(|m| self.preprocess(m.as_ref()))
+        if self.config.word_ngrams > 1 {
+            let docs: Vec<Vec<String>> = messages
+                .par_iter()
+                .map(|m| self.preprocess(m.as_ref()))
+                .collect();
+            self.vectorizer.fit(&docs);
+            self.token_ids = FxHashMap::default();
+            return;
+        }
+        // Raw token → its lemma's id in `lemmas` (`None`: a stopword).
+        let mut seen: FxHashMap<String, Option<u32>> = FxHashMap::default();
+        let mut lemmas = Vocabulary::new();
+        let mut df: Vec<usize> = Vec::new();
+        let mut doc: Vec<u32> = Vec::new();
+        for message in messages {
+            doc.clear();
+            self.tokenizer.tokenize_each(message.as_ref(), |raw| {
+                let lemma = match seen.get(raw) {
+                    Some(&lemma) => lemma,
+                    None => {
+                        let lemma = self.preprocess_token(raw).map(|l| lemmas.intern(&l));
+                        seen.insert(raw.to_string(), lemma);
+                        lemma
+                    }
+                };
+                if let Some(lemma) = lemma {
+                    doc.push(lemma);
+                }
+            });
+            doc.sort_unstable();
+            doc.dedup();
+            df.resize(lemmas.len(), 0);
+            for &lemma in &doc {
+                df[lemma as usize] += 1;
+            }
+        }
+        self.vectorizer.fit_from_df(
+            lemmas
+                .iter()
+                .map(|(id, lemma)| (lemma.to_string(), df[id as usize])),
+            messages.len(),
+        );
+        // The table takes its own copy of each key, allocated back to back
+        // now that counting is over. It lives as long as the model; moving
+        // `seen`'s keys in would leave them interleaved with everything
+        // allocated while counting, and the caller's heap holed (measured:
+        // +10–20 % on a later clone-heavy store query from that thread).
+        self.token_ids = seen
+            .iter()
+            .map(|(raw, lemma)| {
+                let lemma = lemma.and_then(|id| lemmas.token(id));
+                (raw.clone(), lemma.and_then(|l| self.vectorizer.token_id(l)))
+            })
             .collect();
-        self.vectorizer.fit(&docs);
     }
 
     /// Transform one raw message into a TF-IDF vector.
@@ -90,15 +181,18 @@ impl FeaturePipeline {
     }
 
     /// Transform many messages straight into one CSR matrix — the batch
-    /// inference path. The unigram fast path fuses preprocessing and
-    /// vectorization: each chunk keeps a raw-token → vocab-id cache, so the
-    /// stopword check, lemmatization, and vocabulary lookup are paid once
-    /// per *distinct* token instead of once per occurrence. Row `i` is
-    /// bit-identical to [`FeaturePipeline::transform`] of `messages[i]`.
+    /// inference path. The unigram path fuses preprocessing and
+    /// vectorization: each raw token is looked up in the table learned by
+    /// [`Self::fit`], so a token seen at fit time costs one hash probe — no
+    /// stopword check, no lemmatization, no vocabulary lookup. A token the
+    /// table does not hold is resolved the way [`Self::preprocess`] would,
+    /// per occurrence and without being remembered: the table never grows
+    /// with the traffic. Row `i` is bit-identical to
+    /// [`FeaturePipeline::transform`] of `messages[i]`.
     pub fn transform_batch_csr(&self, messages: &[impl AsRef<str> + Sync]) -> CsrMatrix {
         if self.config.word_ngrams > 1 {
-            // n-gram rows depend on the adjacent-token stream, so token-level
-            // caching does not apply; take the uncached per-document path.
+            // n-gram rows depend on the adjacent-token stream, so a
+            // per-token table does not apply; take the per-document path.
             let docs: Vec<Vec<String>> = messages
                 .par_iter()
                 .map(|m| self.preprocess(m.as_ref()))
@@ -108,30 +202,19 @@ impl FeaturePipeline {
         csr_from_items(
             messages,
             self.vectorizer.n_features(),
-            || {
-                (
-                    FxHashMap::<String, Option<u32>>::default(),
-                    FxHashMap::<u32, f64>::default(),
-                )
-            },
-            |message, pairs, (cache, counts)| {
-                counts.clear();
+            Vec::new,
+            |message, pairs, ids: &mut Vec<u32>| {
+                ids.clear();
                 self.tokenizer.tokenize_each(message.as_ref(), |tok| {
-                    // get-then-insert instead of the entry API so cache hits
-                    // (the common case) never allocate an owned key.
-                    let id = match cache.get(tok) {
+                    let id = match self.token_ids.get(tok) {
                         Some(&id) => id,
-                        None => {
-                            let id = self.resolve_token(tok);
-                            cache.insert(tok.to_string(), id);
-                            id
-                        }
+                        None => self.resolve_token(tok),
                     };
                     if let Some(id) = id {
-                        *counts.entry(id).or_insert(0.0) += 1.0;
+                        ids.push(id);
                     }
                 });
-                self.vectorizer.fill_pairs_from_counts(counts, pairs)
+                self.vectorizer.fill_pairs_from_ids(ids, pairs)
             },
         )
     }
@@ -139,14 +222,7 @@ impl FeaturePipeline {
     /// Map one raw token to its vocabulary id the way [`Self::preprocess`]
     /// would: stopword check on the raw form, then lemmatize, then look up.
     fn resolve_token(&self, token: &str) -> Option<u32> {
-        if self.config.remove_stopwords && textproc::stopwords::is_stopword(token) {
-            return None;
-        }
-        if self.config.lemmatize {
-            self.vectorizer.token_id(&self.lemmatizer.lemmatize(token))
-        } else {
-            self.vectorizer.token_id(token)
-        }
+        self.vectorizer.token_id(&self.preprocess_token(token)?)
     }
 
     /// Transform many messages in parallel. Routed through the CSR path;
@@ -359,5 +435,146 @@ mod tests {
         assert!(!drop
             .preprocess("the cpu is hot")
             .contains(&"the".to_string()));
+    }
+
+    fn min_df_1() -> FeatureConfig {
+        FeatureConfig {
+            tfidf: TfidfConfig {
+                min_df: 1,
+                ..TfidfConfig::default()
+            },
+            ..FeatureConfig::default()
+        }
+    }
+
+    #[test]
+    fn fit_learns_every_raw_token_the_way_preprocess_resolves_it() {
+        let corpus = sample_corpus();
+        let msgs: Vec<&str> = corpus.iter().map(|(m, _)| m.as_str()).collect();
+        // Default min_df = 2, so once-seen tokens are out of vocabulary.
+        let mut p = FeaturePipeline::new(FeatureConfig::default());
+        p.fit(&msgs);
+        let mut raw_tokens = 0;
+        for m in &msgs {
+            p.tokenizer.tokenize_each(m, |raw| {
+                raw_tokens += 1;
+                assert_eq!(p.token_ids.get(raw), Some(&p.resolve_token(raw)), "{raw}");
+            });
+        }
+        assert!(
+            raw_tokens > p.token_ids.len(),
+            "tokens repeat in the corpus"
+        );
+        assert_eq!(p.token_ids["throttled"], p.vectorizer.token_id("throttle"));
+        assert_eq!(p.token_ids["on"], None, "stopword");
+        assert_eq!(p.token_ids["95c"], None, "seen once: below min_df");
+        // The frequencies fit counted are those of `preprocess` of each
+        // message.
+        let mut oracle = TfidfVectorizer::new(p.config.tfidf.clone());
+        oracle.fit(&msgs.iter().map(|m| p.preprocess(m)).collect::<Vec<_>>());
+        let vocab = |v: &TfidfVectorizer| -> Vec<(u32, String)> {
+            v.vocabulary()
+                .iter()
+                .map(|(id, t)| (id, t.to_string()))
+                .collect()
+        };
+        assert_eq!(vocab(&p.vectorizer), vocab(&oracle));
+    }
+
+    #[test]
+    fn ngram_pipeline_keeps_no_table_and_fits_on_preprocess() {
+        let corpus = sample_corpus();
+        let msgs: Vec<&str> = corpus.iter().map(|(m, _)| m.as_str()).collect();
+        let mut p = FeaturePipeline::new(FeatureConfig {
+            word_ngrams: 2,
+            ..min_df_1()
+        });
+        p.fit(&msgs);
+        assert!(p.token_ids.is_empty());
+        assert!(p.vectorizer.token_id("cpu_temperature").is_some());
+        let csr = p.transform_batch_csr(&msgs);
+        for (i, m) in msgs.iter().enumerate() {
+            assert_eq!(csr.row_vec(i), p.transform(m));
+        }
+    }
+
+    #[test]
+    fn hostile_traffic_never_grows_the_table() {
+        let corpus = sample_corpus();
+        let msgs: Vec<&str> = corpus.iter().map(|(m, _)| m.as_str()).collect();
+        let mut p = FeaturePipeline::new(min_df_1());
+        p.fit(&msgs);
+        let table_len = p.token_ids.len();
+        let saved_len = serde_json::to_string(&p).unwrap().len();
+        // 100 000 distinct tokens no fit ever saw, ten per message, each
+        // batch the size of a live one.
+        let hostile: Vec<String> = (0..10_000)
+            .map(|m| {
+                (0..10)
+                    .map(|t| format!("zq{}x", m * 10 + t))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect();
+        for batch in hostile.chunks(64) {
+            assert_eq!(p.transform_batch_csr(batch).nnz(), 0);
+        }
+        assert_eq!(p.token_ids.len(), table_len);
+        assert_eq!(serde_json::to_string(&p).unwrap().len(), saved_len);
+    }
+
+    fn assert_rows_bit_identical(p: &FeaturePipeline, messages: &[&str]) {
+        let csr = p.transform_batch_csr(messages);
+        for (i, m) in messages.iter().enumerate() {
+            let want = p.transform(m);
+            let (indices, values) = csr.row(i);
+            assert_eq!(indices, want.indices(), "{m}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(values), bits(want.values()), "{m}");
+        }
+    }
+
+    #[test]
+    fn saved_pipeline_keeps_the_table_and_a_model_without_one_still_loads() {
+        use crate::classify::TextClassifier;
+        use crate::persist::{SavedModel, SavedPipeline};
+
+        let corpus = sample_corpus();
+        let trained =
+            SavedPipeline::train(min_df_1(), SavedModel::by_name("cnb").unwrap(), &corpus);
+        // Table hits, an unseen inflection, a stopword, an unseen token.
+        let probes = [
+            "CPU temperature above threshold cpu clock throttled",
+            "usb hubs disconnected on port 0xdeadbeef",
+            "sensors throttles the processor",
+            "",
+        ];
+        let json = trained.to_json().unwrap();
+        let loaded = SavedPipeline::from_json(&json).unwrap();
+        assert_eq!(loaded.features.token_ids, trained.features.token_ids);
+        assert!(!loaded.features.token_ids.is_empty());
+        assert_rows_bit_identical(&loaded.features, &probes);
+
+        // A model saved before the table existed: same JSON minus the field.
+        let mut value: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let serde_json::Value::Object(top) = &mut value else {
+            panic!("a saved pipeline is a JSON object")
+        };
+        let features = top.iter_mut().find(|(k, _)| k == "features").unwrap();
+        let serde_json::Value::Object(fields) = &mut features.1 else {
+            panic!("features is a JSON object")
+        };
+        let before = fields.len();
+        fields.retain(|(k, _)| k != "token_ids");
+        assert_eq!(fields.len(), before - 1);
+        let old = SavedPipeline::from_json(&serde_json::to_string(&value).unwrap()).unwrap();
+        assert!(old.features.token_ids.is_empty());
+        assert_rows_bit_identical(&old.features, &probes);
+        assert_eq!(old.classify_batch(&probes), trained.classify_batch(&probes));
+        let messages: Vec<&str> = corpus.iter().map(|(m, _)| m.as_str()).collect();
+        assert_eq!(
+            old.features.transform_batch_csr(&messages),
+            trained.features.transform_batch_csr(&messages)
+        );
     }
 }

@@ -6,6 +6,14 @@
 //! fitted [`FeaturePipeline`] with any of the eight models (as a closed
 //! enum, since trait objects cannot round-trip through serde) and
 //! serializes to a single JSON document.
+//!
+//! What is derived from the saved fields is not saved: kNN rebuilds its
+//! inverted index on the first batch prediction after a load. The
+//! pipeline's raw-token → id table *is* saved (the raw tokens of the
+//! training corpus cannot be recovered from the vocabulary). A document
+//! written before that table existed still loads — [`FORMAT_VERSION`]
+//! stays 1 — with an empty table, and classifies identically with every
+//! token resolved the slow way; only a re-`fit` rebuilds the table.
 
 use crate::classify::{Prediction, TextClassifier};
 use crate::features::{FeatureConfig, FeaturePipeline};
@@ -286,6 +294,11 @@ mod tests {
                 );
                 assert_eq!(trained.classify(m).category, *want, "{name} underfit");
             }
+            // The batch path of a loaded model (kNN rebuilds its inverted
+            // index here, on the first `predict_csr` after the load).
+            let messages: Vec<&str> = corpus.iter().map(|(m, _)| m.as_str()).collect();
+            let scalar: Vec<Prediction> = messages.iter().map(|m| trained.classify(m)).collect();
+            assert_eq!(loaded.classify_batch(&messages), scalar, "{name}");
         }
     }
 

@@ -394,10 +394,10 @@ impl MonitorService {
     /// never counted): a sequential pre-filter pass (counting totals and
     /// drops), one [`TextClassifier::classify_batch`] call over the
     /// survivors (the matrix-at-a-time CSR path for traditional
-    /// pipelines, sharing the token→id cache across the whole batch), and
-    /// a sequential merge applying category counters, alert throttling and
-    /// quality accounting in input order. Slot `i` of the result is the
-    /// prediction for the `i`-th input, `None` when absent or pre-filtered.
+    /// pipelines), and a sequential merge applying category counters,
+    /// alert throttling and quality accounting in input order. Slot `i` of
+    /// the result is the prediction for the `i`-th input, `None` when
+    /// absent or pre-filtered.
     fn ingest_present<'a>(
         &self,
         messages: impl ExactSizeIterator<Item = Option<&'a str>>,

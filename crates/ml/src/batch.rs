@@ -229,8 +229,10 @@ pub(crate) fn argmin(scores: &[f64]) -> usize {
 
 /// Inverted index over a training set's feature columns: postings[f] lists
 /// `(train row, value)` for every training vector with feature `f` active.
-/// Built by kNN's `predict_csr` so a query touches only the training rows
-/// that share at least one feature with it, instead of the full scan.
+/// Built once per fitted kNN model so a `predict_csr` query touches only
+/// the training rows that share at least one feature with it, instead of
+/// the full scan.
+#[derive(Debug, Clone)]
 pub(crate) struct InvertedIndex {
     postings: Vec<Vec<(u32, f64)>>,
 }

@@ -1,15 +1,18 @@
 //! Brute-force k-nearest-neighbours with cosine similarity.
 //!
-//! Training just indexes the data, prediction pays the full scan — the
+//! Training just stores the data, prediction pays the full scan — the
 //! exact cost profile the paper measures (fastest training at 0.011 s,
-//! slowest testing at 4.9 s). Queries scan every training vector with a
-//! sparse-sparse dot product; batch prediction parallelizes over queries
-//! with rayon.
+//! slowest testing at 4.9 s). Scalar queries scan every training vector
+//! with a sparse-sparse dot product. Batch prediction scores through an
+//! inverted index over the training columns, built once per fitted model
+//! on the first `predict_csr` (so `fit` stays as cheap as the paper's) and
+//! parallelizes over queries with rayon.
 
 use crate::batch::{map_row_chunks_with, BatchClassifier, InvertedIndex};
 use crate::dataset::Dataset;
 use crate::traits::Classifier;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use textproc::{CsrMatrix, SparseVec};
 
 /// kNN hyperparameters.
@@ -33,6 +36,10 @@ pub struct KNearestNeighbors {
     norms: Vec<f64>,
     labels: Vec<usize>,
     n_classes: usize,
+    /// Inverted index over `train`, built by the first `predict_csr` after
+    /// a `fit` or a load. Derived from `train` alone, so it is not saved.
+    #[serde(skip)]
+    index: OnceLock<InvertedIndex>,
 }
 
 impl KNearestNeighbors {
@@ -90,6 +97,7 @@ impl Classifier for KNearestNeighbors {
         self.norms = data.features.iter().map(SparseVec::norm).collect();
         self.labels = data.labels.clone();
         self.n_classes = data.n_classes();
+        self.index = OnceLock::new();
     }
 
     fn predict(&self, x: &SparseVec) -> usize {
@@ -117,15 +125,15 @@ impl Classifier for KNearestNeighbors {
 
 impl BatchClassifier for KNearestNeighbors {
     /// Pruned batch scoring: instead of a full sparse-sparse scan per query,
-    /// build an inverted index over the training columns once per batch and
-    /// accumulate each query's dot products only against training rows that
-    /// share a feature. Accumulation order per training row equals the merge
+    /// accumulate each query's dot products through the model's inverted
+    /// index, only against training rows that share a feature with it.
+    /// Accumulation order per training row equals the merge
     /// order of [`SparseVec::dot`], and the vote is the shared
     /// `KNearestNeighbors::vote`, so predictions match the scalar path
     /// exactly.
     fn predict_csr(&self, m: &CsrMatrix) -> Vec<usize> {
         assert!(!self.train.is_empty(), "predict before fit");
-        let index = InvertedIndex::build(&self.train);
+        let index = self.index.get_or_init(|| InvertedIndex::build(&self.train));
         map_row_chunks_with(
             m.n_rows(),
             || {
@@ -211,5 +219,77 @@ mod tests {
         let mut m = KNearestNeighbors::new(KnnConfig { k: 1 });
         m.fit(&data);
         assert_eq!(m.predict(&SparseVec::from_pairs(vec![(0, 2.0)])), 1);
+    }
+
+    /// Every training row as one CSR batch, and its scalar predictions.
+    fn batch_and_oracle(m: &KNearestNeighbors, data: &Dataset) -> (CsrMatrix, Vec<usize>) {
+        let oracle = data.features.iter().map(|x| m.predict(x)).collect();
+        (CsrMatrix::from_rows(&data.features, 0), oracle)
+    }
+
+    #[test]
+    fn index_is_built_by_the_first_predict_csr_not_by_fit_or_load() {
+        let data = toy_dataset();
+        let mut m = KNearestNeighbors::new(KnnConfig { k: 3 });
+        m.fit(&data);
+        assert!(m.index.get().is_none(), "fit only stores the data");
+        let (batch, oracle) = batch_and_oracle(&m, &data);
+        assert_eq!(m.predict_csr(&batch), oracle);
+        assert!(m.index.get().is_some());
+
+        let json = serde_json::to_string(&m).unwrap();
+        assert!(!json.contains("postings"), "the index is not saved");
+        let loaded: KNearestNeighbors = serde_json::from_str(&json).unwrap();
+        assert!(loaded.index.get().is_none());
+        assert_eq!(loaded.predict_csr(&batch), oracle);
+        assert!(loaded.index.get().is_some());
+    }
+
+    #[test]
+    fn refit_drops_the_index_of_the_previous_training_set() {
+        let data = toy_dataset();
+        let mut m = KNearestNeighbors::new(KnnConfig { k: 1 });
+        m.fit(&data);
+        let (batch, oracle) = batch_and_oracle(&m, &data);
+        assert_eq!(m.predict_csr(&batch), oracle);
+        // Same labels, feature blocks rotated by one class: an index kept
+        // from the first fit would score every query against the old rows.
+        let rotated = Dataset::new(
+            data.features
+                .iter()
+                .cycle()
+                .skip(1)
+                .take(data.len())
+                .cloned()
+                .collect(),
+            data.labels.clone(),
+            data.class_names.clone(),
+        );
+        m.fit(&rotated);
+        let (_, oracle_after) = batch_and_oracle(&m, &data);
+        assert_ne!(oracle_after, oracle, "the refit must change the answers");
+        assert_eq!(m.predict_csr(&batch), oracle_after);
+    }
+
+    #[test]
+    fn threads_racing_the_first_predict_csr_agree_with_scalar_predict() {
+        let data = toy_dataset();
+        let mut m = KNearestNeighbors::new(KnnConfig { k: 3 });
+        m.fit(&data);
+        let (batch, oracle) = batch_and_oracle(&m, &data);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        m.predict_csr(&batch)
+                    })
+                })
+                .collect();
+            for racer in racers {
+                assert_eq!(racer.join().expect("racer panicked"), oracle);
+            }
+        });
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! Token interning and document-frequency counting hash millions of short
 //! strings; SipHash (the std default) dominates profiles there. This is the
-//! FxHash algorithm used by rustc — low quality but very fast, and HashDoS
-//! is not a concern for an offline analysis library. (See the Rust
-//! Performance Book, "Hashing".)
+//! FxHash algorithm used by rustc — low quality but very fast. It has no
+//! HashDoS protection, so on the live path it keys only maps whose keys
+//! the operator chose (static lexicons, vocabularies and tables learned
+//! from the training corpus); a map that stores keys taken from the
+//! network keeps the std hasher. (See the Rust Performance Book,
+//! "Hashing".)
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -13,6 +13,7 @@
 
 use crate::hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 mod lexicon;
@@ -140,14 +141,23 @@ impl Lemmatizer {
     /// Unknown tokens (vendor identifiers, hostnames) are returned
     /// unchanged except for conservative plural stripping.
     pub fn lemmatize(&self, token: &str) -> String {
+        self.lemmatize_cow(token).into_owned()
+    }
+
+    /// [`Lemmatizer::lemmatize`] without the copy: the lemma borrows from
+    /// `token` (or the static lexicon) whenever it is a prefix of it, and
+    /// candidate stems are probed on the stack, so a token that no rule
+    /// rewrites — hex ids, sizes, node names — costs no allocation. Only a
+    /// lemma that has to be spliced (`batteries` → `battery`) is owned.
+    pub fn lemmatize_cow<'a>(&self, token: &'a str) -> Cow<'a, str> {
         // 1. Irregular forms.
         if let Some(lemma) = exceptions().get(token) {
-            return (*lemma).to_string();
+            return Cow::Borrowed(lemma);
         }
         let dict = dictionary();
         // 2. Already a dictionary lemma (or too short to safely strip).
         if dict.contains(token) || token.chars().count() <= 3 {
-            return token.to_string();
+            return Cow::Borrowed(token);
         }
         // 3. Morphy: detach suffixes, accept the first dictionary hit.
         for (suffix, replacement) in RULES {
@@ -155,17 +165,15 @@ impl Lemmatizer {
                 if stem.is_empty() {
                     continue;
                 }
-                let candidate = format!("{stem}{replacement}");
-                if dict.contains(candidate.as_str()) {
+                if let Some(candidate) = splice(token, stem, replacement, dict) {
                     return candidate;
                 }
                 // Doubled final consonant before -ed/-ing: "throttled" was
                 // caught by the dictionary; this catches e.g. "stopped".
                 if (*suffix == "ed" || *suffix == "ing") && replacement.is_empty() {
-                    let undoubled = undouble(stem);
-                    if let Some(u) = undoubled {
-                        if dict.contains(u.as_str()) {
-                            return u;
+                    if let Some(u) = undouble(stem) {
+                        if dict.contains(u) {
+                            return Cow::Borrowed(u);
                         }
                     }
                 }
@@ -173,24 +181,7 @@ impl Lemmatizer {
         }
         // 4. Conservative fallback for unknown vocabulary: strip plural -s
         //    and -es where unambiguous, leave everything else alone.
-        self.fallback(token)
-    }
-
-    fn fallback(&self, token: &str) -> String {
-        if let Some(stem) = token.strip_suffix("ies") {
-            if stem.len() >= 2 {
-                return format!("{stem}y");
-            }
-        }
-        if token.ends_with("ss") || token.ends_with("us") || token.ends_with("is") {
-            return token.to_string();
-        }
-        if let Some(stem) = token.strip_suffix('s') {
-            if stem.len() >= 3 && !stem.ends_with('s') {
-                return stem.to_string();
-            }
-        }
-        token.to_string()
+        fallback(token)
     }
 
     /// Lemmatize a token stream.
@@ -199,9 +190,58 @@ impl Lemmatizer {
     }
 }
 
+/// `stem` + `replacement` if the dictionary holds it. The candidate is a
+/// prefix of `token` for most rules (`-es` → `e`, `-sses` → `ss`, …) and is
+/// then borrowed; otherwise it is assembled on the stack for the probe and
+/// copied to the heap only once accepted.
+fn splice<'a>(
+    token: &'a str,
+    stem: &str,
+    replacement: &str,
+    dict: &FxHashSet<&str>,
+) -> Option<Cow<'a, str>> {
+    let len = stem.len() + replacement.len();
+    if token[stem.len()..].starts_with(replacement) {
+        let candidate = &token[..len];
+        return dict.contains(candidate).then_some(Cow::Borrowed(candidate));
+    }
+    let mut stack = [0u8; 64];
+    let heap;
+    let candidate = match stack.get_mut(..len) {
+        Some(buf) => {
+            buf[..stem.len()].copy_from_slice(stem.as_bytes());
+            buf[stem.len()..].copy_from_slice(replacement.as_bytes());
+            std::str::from_utf8(buf).expect("two strs concatenate to valid UTF-8")
+        }
+        None => {
+            heap = format!("{stem}{replacement}");
+            &heap
+        }
+    };
+    dict.contains(candidate)
+        .then(|| Cow::Owned(candidate.to_string()))
+}
+
+fn fallback(token: &str) -> Cow<'_, str> {
+    if let Some(stem) = token.strip_suffix("ies") {
+        if stem.len() >= 2 {
+            return Cow::Owned(format!("{stem}y"));
+        }
+    }
+    if token.ends_with("ss") || token.ends_with("us") || token.ends_with("is") {
+        return Cow::Borrowed(token);
+    }
+    if let Some(stem) = token.strip_suffix('s') {
+        if stem.len() >= 3 && !stem.ends_with('s') {
+            return Cow::Borrowed(stem);
+        }
+    }
+    Cow::Borrowed(token)
+}
+
 /// If `stem` ends in a doubled consonant (not l/s/z which legitimately
 /// double), return it with one dropped.
-fn undouble(stem: &str) -> Option<String> {
+fn undouble(stem: &str) -> Option<&str> {
     let bytes = stem.as_bytes();
     if bytes.len() >= 2 {
         let last = bytes[bytes.len() - 1];
@@ -209,7 +249,7 @@ fn undouble(stem: &str) -> Option<String> {
             && last.is_ascii_alphabetic()
             && !matches!(last, b'l' | b's' | b'z' | b'e' | b'o')
         {
-            return Some(stem[..stem.len() - 1].to_string());
+            return Some(&stem[..stem.len() - 1]);
         }
     }
     None
@@ -293,6 +333,28 @@ mod tests {
         // Not in the dictionary, but safely strippable.
         assert_eq!(lem("gizmotrons"), "gizmotron");
         assert_eq!(lem("frobberies"), "frobbery");
+    }
+
+    #[test]
+    fn only_a_spliced_lemma_is_owned() {
+        let l = Lemmatizer::new();
+        for borrowed in [
+            "0x1f9a",
+            "cn0417",
+            "devices",
+            "stopped",
+            "was",
+            "gizmotrons",
+        ] {
+            assert!(
+                matches!(l.lemmatize_cow(borrowed), Cow::Borrowed(_)),
+                "{borrowed}"
+            );
+        }
+        assert!(matches!(l.lemmatize_cow("batteries"), Cow::Owned(_)));
+        // Longer than the stack buffer candidates are probed in.
+        let long = format!("{}ing", "x".repeat(80));
+        assert_eq!(l.lemmatize_cow(&long), long);
     }
 
     #[test]

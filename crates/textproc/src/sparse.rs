@@ -5,6 +5,11 @@
 //! workspace operates on these types. Vectors keep indices sorted, which
 //! makes dot products a linear merge and keeps cache behaviour predictable
 //! (see the perf-book guidance on contiguous data).
+//!
+//! Every row, however it is built, goes through `merge_pairs_into` and
+//! `l2_normalize_slice`: the batch vectorizers (via [`csr_from_items`])
+//! and [`SparseVec::from_pairs`] therefore agree bit for bit whenever they
+//! are handed the same `(index, value)` pairs, in any order.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -221,8 +226,11 @@ const VECTORIZE_CHUNK: usize = 256;
 /// Build a [`CsrMatrix`] from arbitrary items, chunk-parallel with per-chunk
 /// scratch state.
 ///
-/// `init` creates one scratch state per chunk (token caches, count maps —
-/// whatever the caller needs to amortize across a chunk's items).
+/// `init` creates one scratch state per chunk (an id buffer, a token
+/// buffer — whatever the caller reuses across a chunk's items). A chunk is
+/// 256 items (`VECTORIZE_CHUNK`), more than a live batch holds, so nothing
+/// that should outlive a batch belongs in it: facts about the fitted
+/// model are learned at fit time and captured by `fill_pairs`.
 /// `fill_pairs` turns one item into unsorted `(index, value)` pairs
 /// (appended to the supplied scratch) and returns whether the finished row
 /// should be L2-normalized. Pairs are merged with `merge_pairs_into` and

@@ -79,7 +79,15 @@ impl TfidfVectorizer {
                 }
             }
         }
-        let n = documents.len();
+        self.fit_from_df(df, documents.len());
+    }
+
+    /// Fit from document frequencies counted by the caller: each distinct
+    /// token with the number of documents that contain it, out of `n`.
+    /// [`TfidfVectorizer::fit`] is this after counting; a caller that
+    /// already walks its corpus (and knows its tokens by id) counts there
+    /// and skips materializing the documents.
+    pub fn fit_from_df(&mut self, df: impl IntoIterator<Item = (String, usize)>, n: usize) {
         let max_df = (self.config.max_df_ratio * n as f64).ceil() as usize;
         let mut kept: Vec<(String, usize)> = df
             .into_iter()
@@ -144,23 +152,19 @@ impl TfidfVectorizer {
     }
 
     /// Transform many documents straight into one CSR matrix — the batch
-    /// inference path. Parallel over document chunks; each chunk reuses its
-    /// count map and pair scratch across documents instead of allocating a
+    /// inference path. Parallel over document chunks; each chunk reuses one
+    /// id buffer and pair scratch across documents instead of allocating a
     /// [`SparseVec`] per document. Row `i` is bit-identical to
     /// `self.transform(documents[i])`.
     pub fn transform_batch_csr<D: AsRef<[String]> + Sync>(&self, documents: &[D]) -> CsrMatrix {
         csr_from_items(
             documents,
             self.n_features(),
-            FxHashMap::default,
-            |doc, pairs, counts| {
-                counts.clear();
-                for tok in doc.as_ref() {
-                    if let Some(id) = self.vocab.get(tok) {
-                        *counts.entry(id).or_insert(0.0) += 1.0;
-                    }
-                }
-                self.fill_pairs_from_counts(counts, pairs)
+            Vec::new,
+            |doc, pairs, ids: &mut Vec<u32>| {
+                ids.clear();
+                ids.extend(doc.as_ref().iter().filter_map(|tok| self.vocab.get(tok)));
+                self.fill_pairs_from_ids(ids, pairs)
             },
         )
     }
@@ -170,25 +174,27 @@ impl TfidfVectorizer {
         self.vocab.get(token)
     }
 
-    /// Append one document's TF-IDF `(id, weight)` pairs given its per-id
-    /// term counts — the same math as [`TfidfVectorizer::transform`] after
-    /// vocabulary lookup. Returns whether the finished row should be
-    /// L2-normalized. Callers that resolve tokens to ids themselves (e.g. a
-    /// batch path with a token cache) use this to stay bit-identical to the
-    /// per-document transform.
-    pub fn fill_pairs_from_counts(
-        &self,
-        counts: &FxHashMap<u32, f64>,
-        pairs: &mut Vec<(u32, f64)>,
-    ) -> bool {
-        pairs.extend(counts.iter().map(|(&id, &tf)| {
+    /// Append one document's TF-IDF `(id, weight)` pairs given the
+    /// vocabulary id of each of its in-vocabulary token occurrences (any
+    /// order; sorted in place) — the same math as
+    /// [`TfidfVectorizer::transform`] after vocabulary lookup. Returns
+    /// whether the finished row should be L2-normalized.
+    ///
+    /// A term count is the length of a run of equal ids, an exact integer
+    /// like the `+= 1.0` count `transform` keeps, so every pair carries the
+    /// same bits as there, and the pairs come out in ascending id order —
+    /// the order `transform`'s are sorted into before normalization.
+    pub fn fill_pairs_from_ids(&self, ids: &mut [u32], pairs: &mut Vec<(u32, f64)>) -> bool {
+        ids.sort_unstable();
+        for run in ids.chunk_by(|a, b| a == b) {
+            let tf = run.len() as f64;
             let tf = if self.config.sublinear_tf {
                 1.0 + tf.ln()
             } else {
                 tf
             };
-            (id, tf * self.idf[id as usize])
-        }));
+            pairs.push((run[0], tf * self.idf[run[0] as usize]));
+        }
         self.config.l2_normalize
     }
 

@@ -13,6 +13,7 @@
 //! which is the only way the workspace uses it.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 pub mod prelude {
     pub use crate::{
@@ -27,8 +28,10 @@ const MIN_ITEMS_PER_THREAD: usize = 8;
 /// (mirroring real rayon's global-pool override, and letting determinism
 /// tests vary the thread count), otherwise the machine's parallelism.
 ///
-/// Read per call rather than cached so tests can change the variable
-/// between parallel sections within one process.
+/// The variable is read per call rather than cached so tests can change it
+/// between parallel sections within one process. The machine's parallelism
+/// is read once per process: `available_parallelism` re-reads the cgroup
+/// files on every call, which costs more than a small batch's work.
 fn max_workers() -> usize {
     if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -37,12 +40,20 @@ fn max_workers() -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
+/// An input that fits one worker's minimum share runs on the caller's
+/// thread whatever the ceiling is, so it is decided without asking.
 fn worker_count(n_items: usize) -> usize {
+    if n_items <= MIN_ITEMS_PER_THREAD {
+        return 1;
+    }
     max_workers()
         .min(n_items.div_ceil(MIN_ITEMS_PER_THREAD))
         .max(1)
