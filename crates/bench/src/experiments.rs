@@ -29,6 +29,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde_json::Value;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::sync::Arc;
@@ -736,7 +737,6 @@ struct LiveBatchBench {
     report: hetsyslog_core::IngestSnapshot,
     batching: hetsyslog_core::BatchSnapshot,
     per_category: [u64; 8],
-    prefiltered: u64,
 }
 
 impl LiveBatchBench {
@@ -749,11 +749,6 @@ impl LiveBatchBench {
 /// and the given `max_batch`, over 4 concurrent octet-counted TCP
 /// connections. Measures sustained wire-to-prediction throughput and the
 /// queue→prediction latency distribution.
-///
-/// No noise prefilter: its edit-distance scan is per-message in every
-/// mode (batching cannot amortize it), so the sweep isolates the part of
-/// the path micro-batching actually changes. Prefilter cost is measured
-/// separately by `xp_ablation`.
 fn bench_live_batching(
     frames: &[String],
     clf: Arc<dyn TextClassifier>,
@@ -877,7 +872,6 @@ fn live_batch_run(
         report,
         batching: batch_stats.snapshot(),
         per_category: stats.per_category,
-        prefiltered: stats.prefiltered,
     }
 }
 
@@ -928,9 +922,7 @@ pub fn xp_throughput(args: &ExpArgs) -> ExperimentOutput {
     ];
     for (label, clf) in traditional {
         let store = Arc::new(LogStore::new());
-        let service = Arc::new(
-            MonitorService::new(Arc::from(clf)).with_prefilter(NoiseFilter::train(3, &corpus)),
-        );
+        let service = Arc::new(MonitorService::new(Arc::from(clf)));
         let ingest = ClassifyingIngest::new(store.clone(), service, 4);
         let report = ingest.run(frames.iter().cloned());
         let mph = report.messages_per_second() * 3600.0;
@@ -945,7 +937,6 @@ pub fn xp_throughput(args: &ExpArgs) -> ExperimentOutput {
             "seconds": report.seconds,
             "messages_per_hour": mph,
             "kind": "measured",
-            "prefiltered": report.prefiltered,
         }));
     }
 
@@ -1022,13 +1013,12 @@ pub fn xp_throughput(args: &ExpArgs) -> ExperimentOutput {
             model,
             &corpus,
         ));
-        let scalar_svc =
-            MonitorService::new(clf.clone()).with_prefilter(NoiseFilter::train(3, &corpus));
+        let scalar_svc = MonitorService::new(clf.clone());
         let t0 = Instant::now();
         let scalar_preds: Vec<_> = bench_msgs.iter().map(|m| scalar_svc.ingest(m)).collect();
         let scalar_seconds = t0.elapsed().as_secs_f64();
 
-        let batch_svc = MonitorService::new(clf).with_prefilter(NoiseFilter::train(3, &corpus));
+        let batch_svc = MonitorService::new(clf);
         let t1 = Instant::now();
         let batch_preds = batch_svc.ingest_batch(&bench_msgs);
         let batch_seconds = t1.elapsed().as_secs_f64();
@@ -1036,11 +1026,7 @@ pub fn xp_throughput(args: &ExpArgs) -> ExperimentOutput {
         let agree = scalar_preds
             .iter()
             .zip(&batch_preds)
-            .all(|(a, b)| match (a, b) {
-                (Some(a), Some(b)) => a.category == b.category,
-                (None, None) => true,
-                _ => false,
-            });
+            .all(|(a, b)| a.category == b.category);
         let scalar_rate = bench_msgs.len() as f64 / scalar_seconds;
         let batch_rate = bench_msgs.len() as f64 / batch_seconds;
         batch_rows.push(vec![
@@ -1114,9 +1100,9 @@ pub fn xp_throughput(args: &ExpArgs) -> ExperimentOutput {
             false,
         ));
     }
-    let predictions_agree = live_runs.iter().all(|b| {
-        b.per_category == live_runs[0].per_category && b.prefiltered == live_runs[0].prefiltered
-    });
+    let predictions_agree = live_runs
+        .iter()
+        .all(|b| b.per_category == live_runs[0].per_category);
     let rate_of = |mb: usize| {
         live_runs
             .iter()
@@ -1320,7 +1306,6 @@ fn live_shard_run(
             report,
             batching: batch_stats.snapshot(),
             per_category: stats.per_category,
-            prefiltered: stats.prefiltered,
         },
         steals,
         stolen,
@@ -2146,6 +2131,58 @@ fn run_ablation_variant(
     )
 }
 
+/// The noise pre-filter on a labeled stream it was not built from.
+#[derive(serde::Serialize)]
+struct PrefilterOnStream {
+    noise_caught: usize,
+    noise_total: usize,
+    /// Drops by true category label.
+    dropped_by_category: BTreeMap<String, usize>,
+    actionable_dropped: usize,
+    /// Actionable drops that CNB alone classifies correctly.
+    actionable_dropped_cnb_correct: usize,
+    /// Wall-clock filter cost.
+    us_per_msg: f64,
+}
+
+/// Run `filter` over `stream` and score what it drops against the truth
+/// and against `cnb`'s predictions for the same messages.
+fn prefilter_on_stream(
+    filter: &NoiseFilter,
+    cnb: &dyn TextClassifier,
+    stream: &[(String, Category)],
+) -> PrefilterOnStream {
+    let texts: Vec<&str> = stream.iter().map(|(m, _)| m.as_str()).collect();
+    let started = Instant::now();
+    let dropped: Vec<bool> = texts.iter().map(|m| filter.is_noise(m)).collect();
+    let us_per_msg = started.elapsed().as_secs_f64() * 1e6 / texts.len().max(1) as f64;
+    let predictions = cnb.classify_batch(&texts);
+    let mut out = PrefilterOnStream {
+        noise_caught: 0,
+        noise_total: 0,
+        dropped_by_category: BTreeMap::new(),
+        actionable_dropped: 0,
+        actionable_dropped_cnb_correct: 0,
+        us_per_msg,
+    };
+    for (((_, truth), drop), prediction) in stream.iter().zip(dropped).zip(predictions) {
+        out.noise_total += usize::from(!truth.is_actionable());
+        if !drop {
+            continue;
+        }
+        *out.dropped_by_category
+            .entry(truth.label().to_string())
+            .or_default() += 1;
+        if truth.is_actionable() {
+            out.actionable_dropped += 1;
+            out.actionable_dropped_cnb_correct += usize::from(prediction.category == *truth);
+        } else {
+            out.noise_caught += 1;
+        }
+    }
+    out
+}
+
 /// Ablation studies over the DESIGN.md design choices.
 pub fn xp_ablation(args: &ExpArgs) -> ExperimentOutput {
     let corpus = args.corpus();
@@ -2240,11 +2277,53 @@ pub fn xp_ablation(args: &ExpArgs) -> ExperimentOutput {
     let false_positives = signal_texts.iter().filter(|m| filter.is_noise(m)).count();
     let _ = writeln!(
         r,
-        "Unimportant pre-filter (threshold 3): {} patterns catch {caught}/{noise_total} noise \
-         messages with {false_positives}/{} false positives on signal.",
+        "Unimportant pre-filter (threshold 3), in-sample on the corpus its patterns came from: \
+         {} patterns catch {caught}/{noise_total} noise messages with {false_positives}/{} \
+         false positives on signal.",
         filter.n_patterns(),
         signal_texts.len()
     );
+    // Out of sample: a held-out stream sized like X2's, and its drifted
+    // copy. The pre-filter is not on the live path; CNB alone is.
+    let n_stream = (30_000.0 * (args.scale / 0.05).clamp(0.2, 10.0)) as usize;
+    let stream_seed = args.seed.wrapping_add(1);
+    let held_out: Vec<(String, Category)> = StreamGenerator::new(StreamConfig {
+        seed: stream_seed,
+        ..StreamConfig::default()
+    })
+    .take(n_stream)
+    .map(|t| (t.message.text, t.message.category))
+    .collect();
+    let mut drift = DriftModel::new(DriftConfig::default());
+    let drifted: Vec<(String, Category)> = held_out
+        .iter()
+        .map(|(m, c)| (drift.mutate(m), *c))
+        .collect();
+    let cnb = TraditionalPipeline::train(
+        FeatureConfig::default(),
+        Box::new(ComplementNaiveBayes::new(ComplementNbConfig::default())),
+        &corpus,
+    );
+    let held_out = prefilter_on_stream(&filter, &cnb, &held_out);
+    let drifted = prefilter_on_stream(&filter, &cnb, &drifted);
+    for (label, s) in [("held-out", &held_out), ("drifted", &drifted)] {
+        let _ = writeln!(
+            r,
+            "  {label} stream (seed {stream_seed}, {n_stream} msgs): catches {}/{} noise; drops {} \
+             actionable ({}), CNB alone gets {} of those right; {:.1} us/msg",
+            s.noise_caught,
+            s.noise_total,
+            s.actionable_dropped,
+            s.dropped_by_category
+                .iter()
+                .filter(|(c, _)| c.as_str() != Category::Unimportant.label())
+                .map(|(c, n)| format!("{c} {n}"))
+                .collect::<Vec<_>>()
+                .join(", "),
+            s.actionable_dropped_cnb_correct,
+            s.us_per_msg,
+        );
+    }
 
     let masked = BucketBaseline::train(7, &corpus);
     let raw = BucketBaseline::train_raw(7, &corpus);
@@ -2305,10 +2384,15 @@ pub fn xp_ablation(args: &ExpArgs) -> ExperimentOutput {
         "preprocessing": json_rows,
         "prefilter": {
             "patterns": filter.n_patterns(),
-            "caught": caught,
-            "noise_total": noise_total,
-            "false_positives": false_positives,
-            "signal_total": signal_texts.len(),
+            "in_sample": {
+                "caught": caught,
+                "noise_total": noise_total,
+                "false_positives": false_positives,
+                "signal_total": signal_texts.len(),
+            },
+            "stream_seed": stream_seed,
+            "held_out": held_out,
+            "drifted": drifted,
         },
         "bucket_masking": {
             "masked_exemplars": masked.n_buckets(),

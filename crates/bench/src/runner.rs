@@ -257,6 +257,13 @@ pub fn rules_for(stem: &str) -> Vec<FieldRule> {
                 });
             }
         }
+        "xp_ablation" => {
+            // The out-of-sample pre-filter cost is wall-clock time.
+            rules.push(FieldRule {
+                pattern: "prefilter.*.us_per_msg",
+                policy: Policy::Ignore,
+            });
+        }
         _ => {}
     }
     // Scores: relative tolerance everywhere they appear.
@@ -639,6 +646,16 @@ mod tests {
             Policy::RelTol(SCORE_REL_TOL)
         );
         assert_eq!(policy_for(&rules, &segs("n_train")), Policy::Exact);
+
+        let rules = rules_for("xp_ablation");
+        assert_eq!(
+            policy_for(&rules, &segs("prefilter.drifted.us_per_msg")),
+            Policy::Ignore
+        );
+        assert_eq!(
+            policy_for(&rules, &segs("prefilter.drifted.actionable_dropped")),
+            Policy::Exact
+        );
     }
 
     #[test]

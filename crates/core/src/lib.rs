@@ -6,7 +6,7 @@
 //! 1. [`taxonomy`] — the eight actionable issue categories of §4.1.
 //! 2. [`filter`] — the "Unimportant" pre-filter (edit-distance blacklist at
 //!    a tight threshold) that the paper's conclusion recommends running
-//!    before classification.
+//!    before classification; measured offline, not on the live path.
 //! 3. [`features`] — tokenize → lemmatize → TF-IDF (§4.3), producing both
 //!    feature vectors and the per-category explanatory token lists of
 //!    Table 1.
@@ -14,8 +14,8 @@
 //!    message text, with adapters for the traditional ML models and the
 //!    edit-distance bucketing baseline.
 //! 5. [`explain`] — per-decision explanations (top contributing tokens).
-//! 6. [`service`] — the monitoring front end: category counters, alert
-//!    hooks for actionable categories.
+//! 6. [`service`] — the monitoring front end: classify and count per
+//!    category.
 //! 7. [`model_quality`] — serving-time model health: prediction-share
 //!    counters and the PSI drift gauge comparing recent predictions to a
 //!    frozen startup baseline.
@@ -39,7 +39,6 @@ pub use filter::NoiseFilter;
 pub use model_quality::ModelQuality;
 pub use persist::{canonicalize_json, to_canonical_json, SavedModel, SavedPipeline};
 pub use service::{
-    Alert, BatchSnapshot, FrameOutcome, HealthSnapshot, IngestSnapshot, MonitorService,
-    MonitorStats,
+    BatchSnapshot, FrameOutcome, HealthSnapshot, IngestSnapshot, MonitorService, MonitorStats,
 };
 pub use taxonomy::Category;

@@ -173,8 +173,6 @@ impl BatchStats {
 pub struct ClassifyReport {
     /// Records stored.
     pub ingested: u64,
-    /// Records dropped by the noise pre-filter (not stored with category).
-    pub prefiltered: u64,
     /// Wall-clock seconds.
     pub seconds: f64,
 }
@@ -191,13 +189,14 @@ impl ClassifyReport {
 }
 
 /// An in-process driver that classifies every record in flight via a
-/// [`MonitorService`] (classifier + optional pre-filter + alerting) before
-/// storing it.
+/// [`MonitorService`] before storing it.
 ///
 /// A *feeder* of the live path (`live.rs`): frames go round-robin onto
 /// the shard rings, and the shard workers push each micro-batch through
 /// one fused [`MonitorService::ingest_frames`] call — parse → tokenize →
 /// CSR transform → batch predict — exactly as behind the socket listener.
+/// Notifications are a [`ClassifyingIngest::with_fan_out`] lane whose
+/// sink keeps the records with an actionable `category`.
 pub struct ClassifyingIngest {
     store: Arc<LogStore>,
     service: Arc<MonitorService>,
@@ -238,15 +237,13 @@ impl ClassifyingIngest {
         self
     }
 
-    /// Run to completion over raw frames. Pre-filtered (noise) records are
-    /// still stored — with `category = None` — so the store stays complete
-    /// while the classifier and alert path skip them.
+    /// Run to completion over raw frames: every frame that parses is
+    /// classified and stored with its category.
     pub fn run<I>(&self, frames: I) -> ClassifyReport
     where
         I: IntoIterator<Item = String>,
     {
         let started = Instant::now();
-        let prefiltered_before = self.service.stats().prefiltered;
         let mut path = LivePath::start_in_process(
             self.store.clone(),
             Some(self.service.clone()),
@@ -258,12 +255,11 @@ impl ClassifyingIngest {
         path.finish();
         ClassifyReport {
             ingested: path.stats.ingested.get(),
-            prefiltered: self.service.stats().prefiltered - prefiltered_before,
             seconds: started.elapsed().as_secs_f64(),
         }
     }
 
-    /// The monitor service (for stats / alert inspection).
+    /// The monitor service (for stats inspection).
     pub fn service(&self) -> &MonitorService {
         &self.service
     }
@@ -272,7 +268,7 @@ impl ClassifyingIngest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsyslog_core::{Category, NoiseFilter, Prediction, TextClassifier};
+    use hetsyslog_core::{Category, Prediction, TextClassifier};
 
     #[test]
     fn snapshot_counts_frames_and_reports_log_linear_quantiles() {
@@ -341,26 +337,6 @@ mod tests {
         assert_eq!(hot.len(), 1);
         assert_eq!(hot[0].category, Some(Category::ThermalIssue));
         assert_eq!(ingest.service().stats().total, 2);
-    }
-
-    #[test]
-    fn prefiltered_records_stored_unclassified() {
-        let mut filter = NoiseFilter::empty(2);
-        filter.add_pattern("Started Session 1");
-        let service = Arc::new(
-            hetsyslog_core::MonitorService::new(Arc::new(Stub) as Arc<dyn TextClassifier>)
-                .with_prefilter(filter),
-        );
-        let store = Arc::new(LogStore::new());
-        let ingest = ClassifyingIngest::new(store.clone(), service, 2);
-        let report = ingest.run(vec![
-            "<13>Oct 11 22:14:16 cn0002 systemd: Started Session 1".to_string(),
-        ]);
-        assert_eq!(report.ingested, 1);
-        assert_eq!(report.prefiltered, 1);
-        let all = store.search(0, i64::MAX / 2, &[]);
-        assert_eq!(all.len(), 1);
-        assert_eq!(all[0].category, None);
     }
 
     #[test]

@@ -925,6 +925,16 @@ mod tests {
     }
 
     #[test]
+    fn import_skips_a_deeply_nested_line() {
+        let store = LogStore::new();
+        let good = |t| rec(&store, t, "cn01", "cpu temperature high").to_json();
+        let snapshot = format!("{}\n{}\n{}\n", good(10), "[".repeat(100_000), good(20));
+        let (restored, skipped) =
+            LogStore::import_jsonl(std::io::BufReader::new(snapshot.as_bytes()), 60).unwrap();
+        assert_eq!((restored.len(), skipped), (2, 1));
+    }
+
+    #[test]
     fn lanes_are_query_transparent() {
         let store = LogStore::with_config(60, 4);
         assert_eq!(store.n_lanes(), 4);

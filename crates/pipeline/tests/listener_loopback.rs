@@ -331,7 +331,7 @@ fn partial_batch_flushed_on_graceful_drain_without_loss() {
         batching.frames, 23,
         "batched frames must sum to the ingested count: {batching:?}"
     );
-    assert_eq!(batching.classified, 23, "no prefilter: all frames classify");
+    assert_eq!(batching.classified, 23, "every parsed frame classifies");
     assert!(
         batching.drain_flushes >= 1,
         "at least one partial batch flushed by the drain: {batching:?}"

@@ -18,9 +18,7 @@ use std::time::{Duration, Instant};
 
 /// One loopback run: stream `frames` over 4 octet-counted TCP connections
 /// into a listener with `clf` in-path at the given `max_batch`. Returns
-/// (msgs/s, per-category counters). No noise prefilter: its edit-distance
-/// scan costs the same per message in both modes, so the comparison
-/// isolates the part of the path batching changes.
+/// (msgs/s, per-category counters).
 fn run_once(frames: &[String], clf: Arc<dyn TextClassifier>, max_batch: usize) -> (f64, [u64; 8]) {
     const CONNECTIONS: usize = 4;
     let store = Arc::new(LogStore::new());

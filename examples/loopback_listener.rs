@@ -50,7 +50,6 @@ fn main() {
     // live PSI gauge alongside the per-category prediction shares.
     let service = Arc::new(
         MonitorService::new(clf)
-            .with_prefilter(NoiseFilter::train(3, &corpus))
             .with_model_quality(ModelQuality::with_config(64, 64))
             .with_registry(registry),
     );

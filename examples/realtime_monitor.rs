@@ -2,14 +2,14 @@
 //!
 //! Generates a bursty synthetic syslog stream (Poisson base load plus a
 //! thermal-runaway burst), pushes it through the multi-threaded
-//! parse → noise-filter → classify → index pipeline, fires alerts for
-//! actionable categories, and then runs the paper's §4.5 monitoring views
-//! over the resulting store: frequency analysis with burst detection,
-//! positional (per-rack) analysis, and a per-architecture comparison.
+//! parse → classify → index pipeline, shows the first actionable records
+//! (what a notification lane would deliver), and then runs the paper's
+//! §4.5 monitoring views over the resulting store: frequency analysis
+//! with burst detection, positional (per-rack) analysis, and a
+//! per-architecture comparison.
 //!
 //! Run: `cargo run --release --example realtime_monitor`
 
-use hetsyslog::core::service::CollectingSink;
 use hetsyslog::pipeline::views::{
     frequency_analysis, per_architecture_analysis, positional_analysis, GroupBy,
 };
@@ -29,13 +29,7 @@ fn main() {
         &corpus,
     ));
 
-    // Monitor service: noise pre-filter + alert sink.
-    let sink = Arc::new(CollectingSink::new());
-    let service = Arc::new(
-        MonitorService::new(clf)
-            .with_prefilter(NoiseFilter::train(3, &corpus))
-            .with_alert_sink(sink.clone()),
-    );
+    let service = Arc::new(MonitorService::new(clf));
 
     // A bursty stream: ~40 virtual seconds of Darwin load.
     let stream = StreamGenerator::new(StreamConfig {
@@ -57,10 +51,12 @@ fn main() {
         report.messages_per_second() * 3600.0 / 1e6,
     );
     let stats = service.stats();
-    println!(
-        "pre-filtered {} known-noise messages; {} alerts emitted",
-        stats.prefiltered, stats.alerts
-    );
+    let actionable: u64 = Category::ALL
+        .iter()
+        .filter(|c| c.is_actionable())
+        .map(|&c| stats.count(c))
+        .sum();
+    println!("{actionable} actionable");
     for &c in &Category::ALL {
         let n = stats.count(c);
         if n > 0 {
@@ -112,10 +108,14 @@ fn main() {
         println!("\nper-architecture verdict for {node}: {verdict:?}");
     }
 
-    // Show a couple of alerts.
-    let alerts = sink.take();
-    println!("\nfirst alerts:");
-    for a in alerts.iter().take(3) {
-        println!("  [{}] {} → {}", a.category, a.message, a.action);
+    // The first actionable records: what a notification lane delivers.
+    let mut first = Vec::new();
+    store.scan(i64::MIN, i64::MAX, &[], |r| match r.category {
+        Some(c) if c.is_actionable() && first.len() < 3 => first.push((c, r.message.clone())),
+        _ => {}
+    });
+    println!("\nfirst actionable records:");
+    for (c, message) in first {
+        println!("  [{c}] {message} → {}", c.suggested_action());
     }
 }

@@ -15,7 +15,6 @@
 //! library crates — the CLI adds no logic of its own.
 
 use hetsyslog::core::persist::{SavedModel, SavedPipeline};
-use hetsyslog::core::service::CollectingSink;
 use hetsyslog::prelude::*;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -365,12 +364,7 @@ fn cmd_monitor(opts: &Opts) -> Result<(), String> {
         Box::new(ComplementNaiveBayes::new(Default::default())),
         &corpus,
     ));
-    let sink = Arc::new(CollectingSink::new());
-    let service = Arc::new(
-        MonitorService::new(clf)
-            .with_prefilter(NoiseFilter::train(3, &corpus))
-            .with_alert_sink(sink.clone()),
-    );
+    let service = Arc::new(MonitorService::new(clf));
     let store = Arc::new(LogStore::new());
     let registry = Registry::new();
     let sink_specs = parse_sink_specs(opts, &registry)?;
@@ -411,17 +405,24 @@ fn cmd_monitor(opts: &Opts) -> Result<(), String> {
         seconds,
         rate * 3600.0 / 1e6
     );
-    println!(
-        "pre-filtered {} noise messages, {} alerts",
-        stats.prefiltered, stats.alerts
-    );
+    let actionable: u64 = Category::ALL
+        .iter()
+        .filter(|c| c.is_actionable())
+        .map(|&c| stats.count(c))
+        .sum();
+    println!("{actionable} actionable");
     for &c in &Category::ALL {
         if stats.count(c) > 0 {
             println!("  {:<20} {}", c.label(), stats.count(c));
         }
     }
-    for a in sink.take().iter().take(3) {
-        println!("alert: [{}] {}", a.category, a.message);
+    let mut first = Vec::new();
+    store.scan(i64::MIN, i64::MAX, &[], |r| match r.category {
+        Some(c) if c.is_actionable() && first.len() < 3 => first.push((c, r.message.clone())),
+        _ => {}
+    });
+    for (c, message) in first {
+        println!("actionable: [{c}] {message} -> {}", c.suggested_action());
     }
     if let Some(fan_out) = &fan_out {
         // Graceful drain: wait for sink acks (or spill the remainder),

@@ -1,10 +1,12 @@
 //! Integration: synthetic stream → multi-threaded ingest → store →
 //! queries → §4.5 monitoring views, with classification in flight.
 
-use hetsyslog::core::service::CollectingSink;
 use hetsyslog::pipeline::views::{frequency_analysis, positional_analysis, GroupBy};
+use hetsyslog::pipeline::{SinkBatch, SinkError};
 use hetsyslog::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 const START: i64 = 1_697_000_000;
 
@@ -62,22 +64,64 @@ fn full_ingest_and_query_roundtrip() {
     assert!(node_hits.iter().all(|r| r.node == node));
 }
 
+/// A notification sink: of every record the fan-out hands it, it keeps
+/// the ones whose category is actionable (§3's "notification email").
+#[derive(Default)]
+struct NotifySink {
+    notified: AtomicU64,
+}
+
+impl Sink for NotifySink {
+    fn name(&self) -> &str {
+        "notify"
+    }
+
+    fn submit_batch(&self, batch: &SinkBatch) -> Result<(), SinkError> {
+        let actionable = batch
+            .records
+            .iter()
+            .filter(|r| r.category.is_some_and(Category::is_actionable))
+            .count();
+        self.notified
+            .fetch_add(actionable as u64, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
 #[test]
 fn classified_ingest_emits_alerts_and_views_work() {
-    let sink = Arc::new(CollectingSink::new());
-    let service = Arc::new(MonitorService::new(trained_classifier()).with_alert_sink(sink.clone()));
+    let service = Arc::new(MonitorService::new(trained_classifier()));
     let store = Arc::new(LogStore::with_shard_seconds(60));
-    let ingest =
-        ClassifyingIngest::new(store.clone(), service.clone(), 4).with_fallback_time(START);
+    let notify = Arc::new(NotifySink::default());
+    let fan_out = FanOut::open(vec![SinkSpec::new(notify.clone())], None).unwrap();
+    let ingest = ClassifyingIngest::new(store.clone(), service.clone(), 4)
+        .with_fallback_time(START)
+        .with_fan_out(fan_out.clone());
     let report = ingest.run(stream_frames(4000, 0.002));
     assert_eq!(report.ingested, 4000);
+    fan_out.shutdown(Duration::from_secs(10));
 
     let stats = service.stats();
     assert_eq!(stats.total, 4000);
     // The Table 2 mix guarantees thermal traffic.
     assert!(stats.count(Category::ThermalIssue) > 0);
-    assert!(stats.alerts > 0);
-    assert!(!sink.is_empty());
+    // Every actionable classification reaches the notification lane and
+    // the store, and the lane's ledger balances.
+    let actionable: u64 = Category::ALL
+        .iter()
+        .filter(|c| c.is_actionable())
+        .map(|&c| stats.count(c))
+        .sum();
+    let mut stored_actionable = 0u64;
+    store.scan(i64::MIN, i64::MAX, &[], |r| {
+        stored_actionable += u64::from(r.category.is_some_and(Category::is_actionable));
+    });
+    assert!(actionable > 0);
+    assert_eq!(notify.notified.load(Ordering::Relaxed), actionable);
+    assert_eq!(stored_actionable, actionable);
+    let lane = &fan_out.snapshots()[0];
+    assert!(lane.ledger_balanced(), "{lane:?}");
+    assert_eq!((lane.submitted, lane.delivered), (4000, 4000));
 
     // Frequency view sums to the store contents in range.
     let to = START + 7200;

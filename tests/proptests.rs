@@ -103,7 +103,7 @@ proptest! {
     /// batches of any size and feeding each batch through
     /// `MonitorService::ingest_frames` yields outcome-for-outcome the same
     /// result as the scalar parse-then-`ingest` path — for batch sizes 1,
-    /// 7 and 64, with parse failures and prefiltered noise in the mix.
+    /// 7 and 64, with parse failures in the mix.
     #[test]
     fn batched_ingest_partition_invariant(seed in 0u64..40, n in 30usize..150) {
         let corpus = datagen::corpus::as_pairs(&generate_corpus(&CorpusConfig {
@@ -126,25 +126,21 @@ proptest! {
             .collect();
 
         // Scalar reference: parse each frame, then per-message ingest.
-        // Project each outcome to (message text, category) — `None`
-        // category covers both prefiltered and unparseable frames, which
-        // are distinguished by the text being `None`.
-        let scalar_svc = MonitorService::new(clf.clone())
-            .with_prefilter(NoiseFilter::train(3, &corpus));
-        let scalar: Vec<(Option<String>, Option<Category>)> = frames
+        // Project each outcome to `Some((message text, category))`, or
+        // `None` for an unparseable frame.
+        let scalar_svc = MonitorService::new(clf.clone());
+        let scalar: Vec<Option<(String, Category)>> = frames
             .iter()
-            .map(|f| match parse(f) {
-                Ok(msg) => {
-                    let category = scalar_svc.ingest(&msg.message).map(|p| p.category);
-                    (Some(msg.message), category)
-                }
-                Err(_) => (None, None),
+            .map(|f| {
+                parse(f).ok().map(|msg| {
+                    let category = scalar_svc.ingest(&msg.message).category;
+                    (msg.message, category)
+                })
             })
             .collect();
 
         for batch in [1usize, 7, 64] {
-            let svc = MonitorService::new(clf.clone())
-                .with_prefilter(NoiseFilter::train(3, &corpus));
+            let svc = MonitorService::new(clf.clone());
             let mut outcomes = Vec::with_capacity(frames.len());
             for chunk in frames.chunks(batch) {
                 let texts: Vec<&str> = chunk.iter().map(|f| f.as_str()).collect();
@@ -154,21 +150,19 @@ proptest! {
             for (outcome, expected) in outcomes.into_iter().zip(&scalar) {
                 let got = match outcome {
                     FrameOutcome::Classified { message, prediction } => {
-                        (Some(message.message), Some(prediction.category))
+                        Some((message.message, prediction.category))
                     }
-                    FrameOutcome::Prefiltered { message } => (Some(message.message), None),
-                    FrameOutcome::ParseError => (None, None),
+                    FrameOutcome::Prefiltered { .. } | FrameOutcome::ParseError => None,
                 };
                 prop_assert_eq!(&got, expected, "batch size {} diverged", batch);
             }
-            // The per-category counters agree with the scalar service too.
-            prop_assert_eq!(svc.stats().per_category, scalar_svc.stats().per_category);
-            prop_assert_eq!(svc.stats().prefiltered, scalar_svc.stats().prefiltered);
+            // The counters agree with the scalar service too.
+            prop_assert_eq!(svc.stats(), scalar_svc.stats());
         }
     }
 
-    /// The monitor service's counters always reconcile: total = prefiltered
-    /// + classified.
+    /// The monitor service's counters always reconcile: every message seen
+    /// is classified, so total = Σ per-category.
     #[test]
     fn monitor_counters_reconcile(seed in 0u64..50, n in 20usize..120) {
         let corpus = datagen::corpus::as_pairs(&generate_corpus(&CorpusConfig {
@@ -181,14 +175,13 @@ proptest! {
             Box::new(ComplementNaiveBayes::new(Default::default())),
             &corpus,
         ));
-        let service = MonitorService::new(clf).with_prefilter(NoiseFilter::train(3, &corpus));
+        let service = MonitorService::new(clf);
         let stream = StreamGenerator::new(StreamConfig { seed, ..StreamConfig::default() });
         for tm in stream.take(n) {
             let _ = service.ingest(&tm.message.text);
         }
         let stats = service.stats();
         prop_assert_eq!(stats.total, n as u64);
-        let classified: u64 = stats.per_category.iter().sum();
-        prop_assert_eq!(stats.prefiltered + classified, n as u64);
+        prop_assert_eq!(stats.per_category.iter().sum::<u64>(), stats.total);
     }
 }

@@ -116,41 +116,6 @@ fn llm_with_empty_pretraining_corpus() {
 }
 
 #[test]
-fn monitor_service_with_everything_filtered() {
-    use std::sync::Arc;
-    let corpus: Vec<(String, Category)> = (0..6)
-        .map(|i| (format!("noise pattern {i}"), Category::Unimportant))
-        .chain((0..6).map(|i| {
-            (
-                format!("cpu {i} temperature throttled"),
-                Category::ThermalIssue,
-            )
-        }))
-        .collect();
-    let clf: Arc<dyn TextClassifier> = Arc::new(TraditionalPipeline::train(
-        FeatureConfig {
-            tfidf: TfidfConfig {
-                min_df: 1,
-                ..TfidfConfig::default()
-            },
-            ..FeatureConfig::default()
-        },
-        Box::new(ComplementNaiveBayes::new(Default::default())),
-        &corpus,
-    ));
-    // A filter whose threshold is so loose it eats everything.
-    let mut filter = NoiseFilter::empty(10_000);
-    filter.add_pattern("anything");
-    let svc = MonitorService::new(clf).with_prefilter(filter);
-    for i in 0..50 {
-        assert!(svc.ingest(&format!("message {i}")).is_none());
-    }
-    let stats = svc.stats();
-    assert_eq!(stats.prefiltered, 50);
-    assert_eq!(stats.per_category.iter().sum::<u64>(), 0);
-}
-
-#[test]
 fn sparse_vector_extreme_values() {
     use textproc::SparseVec;
     // 1e150 squares to 1e300, near but under f64::MAX — the norm must
