@@ -1,10 +1,9 @@
-//! Ingest-path microbenches: frame parsing, store insertion, indexed
-//! queries, and the multi-threaded pipeline end to end.
+//! Ingest-path microbenches: frame parsing, store insertion and indexed
+//! queries. The live path end to end is timed by hsbench (`sat_cnb`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use datagen::{StreamConfig, StreamGenerator};
-use logpipeline::{IngestPipeline, LogRecord, LogStore, Query};
-use std::sync::Arc;
+use logpipeline::{LogRecord, LogStore, Query};
 
 fn frames(n: usize) -> Vec<String> {
     StreamGenerator::new(StreamConfig {
@@ -14,6 +13,15 @@ fn frames(n: usize) -> Vec<String> {
     .take(n)
     .map(|t| t.to_frame())
     .collect()
+}
+
+/// `n` parsed stream frames as store records.
+fn records(n: usize) -> Vec<LogRecord> {
+    frames(n)
+        .iter()
+        .enumerate()
+        .map(|(i, f)| LogRecord::from_message(i as u64, &syslog_model::parse(f).unwrap(), 0))
+        .collect()
 }
 
 fn bench_parse(c: &mut Criterion) {
@@ -27,12 +35,7 @@ fn bench_parse(c: &mut Criterion) {
 }
 
 fn bench_store_insert(c: &mut Criterion) {
-    let fs = frames(1000);
-    let records: Vec<LogRecord> = fs
-        .iter()
-        .enumerate()
-        .map(|(i, f)| LogRecord::from_message(i as u64, &syslog_model::parse(f).unwrap(), 0))
-        .collect();
+    let records = records(1000);
     let mut g = c.benchmark_group("log_store");
     g.throughput(Throughput::Elements(records.len() as u64));
     g.bench_function("insert_1k", |b| {
@@ -51,9 +54,8 @@ fn bench_store_insert(c: &mut Criterion) {
 }
 
 fn bench_query(c: &mut Criterion) {
-    let store = Arc::new(LogStore::with_shard_seconds(600));
-    let pipeline = IngestPipeline::new(store.clone(), 4);
-    pipeline.run(frames(20_000));
+    let store = LogStore::with_shard_seconds(600);
+    store.insert_batch(records(20_000));
     let mut g = c.benchmark_group("query");
     g.bench_function("term_20k_docs", |b| {
         b.iter(|| {
@@ -73,29 +75,5 @@ fn bench_query(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_pipeline_end_to_end(c: &mut Criterion) {
-    let fs = frames(10_000);
-    let mut g = c.benchmark_group("ingest_pipeline");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(fs.len() as u64));
-    g.bench_function("parse_index_10k_frames_4_workers", |b| {
-        b.iter_batched(
-            || fs.clone(),
-            |fs| {
-                let store = Arc::new(LogStore::with_shard_seconds(600));
-                IngestPipeline::new(store, 4).run(fs).ingested
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_parse,
-    bench_store_insert,
-    bench_query,
-    bench_pipeline_end_to_end
-);
+criterion_group!(benches, bench_parse, bench_store_insert, bench_query);
 criterion_main!(benches);

@@ -16,12 +16,13 @@
 //! * [`query`] — boolean term + time-range + metadata queries;
 //! * `live` (private) — the one live path: the shard workers'
 //!   drain-up-to-`max_batch`-or-`max_delay` loop and what a worker does
-//!   with a batch; every module below that moves frames is a feeder of it;
-//! * [`ingest`] — the in-process collector (the rsyslog/Fluentd
-//!   stand-in): replays frames or a raw byte stream through the live path;
-//! * [`listener`] — the socket-facing front end: fault-tolerant TCP/UDP
-//!   syslog listeners with bounded-queue overload policies, idle timeouts,
-//!   a dead-letter ring, and graceful drain;
+//!   with a batch;
+//! * [`listener`] — [`SyslogListener`], the live path's only driver (the
+//!   rsyslog/Fluentd stand-in): fault-tolerant TCP/UDP syslog listeners
+//!   with bounded-queue overload policies, idle timeouts, a dead-letter
+//!   ring, and graceful drain; the reactors and
+//!   [`SyslogListener::feed`] (frames handed over in process) are its
+//!   two feeders;
 //! * [`reactor`] — the event-driven socket front end: a pool of epoll
 //!   reactor threads multiplexing the UDP socket and hundreds of
 //!   nonblocking TCP connections;
@@ -37,12 +38,10 @@
 //! * [`views`] — the §4.5 monitoring views: frequency/temporal analysis
 //!   with burst detection, positional (per-rack) analysis, and
 //!   per-architecture anomaly comparison;
-//! * [`monitor`] — the in-process driver that runs a
-//!   [`hetsyslog_core::TextClassifier`] inside the live path for real-time
-//!   classification, and the micro-batching counters.
+//! * [`monitor`] — the micro-batching counters the live path's workers
+//!   keep.
 
 pub mod columnar;
-pub mod ingest;
 pub mod listener;
 mod live;
 pub mod monitor;
@@ -59,12 +58,11 @@ pub mod topology;
 pub mod views;
 
 pub use columnar::{Segment, SegmentStats};
-pub use ingest::{IngestPipeline, IngestReport};
 pub use listener::{
     DeadLetter, DeadLetterRing, DropReason, Frontend, IngestStats, ListenerConfig, OverloadPolicy,
     SyslogListener,
 };
-pub use monitor::{BatchStats, ClassifyingIngest, FlushReason};
+pub use monitor::{BatchStats, FlushReason};
 pub use query::Query;
 pub use reactor::ReactorStats;
 pub use record::LogRecord;

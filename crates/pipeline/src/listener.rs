@@ -15,9 +15,10 @@
 //! * **Sharded ingest fabric** — frames are partitioned hash-by-connection
 //!   (round-robin for UDP) across N [`shard`](crate::shard)s, each with its
 //!   own bounded SPSC ring, micro-batch worker, and store write lane (the
-//!   worker stage lives in `live.rs`, shared with the in-process
-//!   drivers), so throughput scales with cores instead of serializing on
-//!   one queue lock; idle workers steal whole batches from skewed siblings;
+//!   worker stage lives in `live.rs`, fed by the reactors and by
+//!   [`SyslogListener::feed`]), so throughput scales with cores instead of
+//!   serializing on one queue lock; idle workers steal whole batches from
+//!   skewed siblings;
 //! * **Bounded ingest queue** (summed across the shard rings) with a
 //!   configurable [`OverloadPolicy`]:
 //!   `Block` applies lossless backpressure through the TCP window, `Shed`
@@ -39,7 +40,7 @@ use crate::store::LogStore;
 use hetsyslog_core::{HealthSnapshot, IngestSnapshot, MonitorService};
 use obs::{Counter, Gauge, Histogram, Registry, Telemetry};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::Arc;
 use std::time::Duration;
@@ -110,9 +111,12 @@ impl DropReason {
 }
 
 /// Identifies where a frame entered the live path. TCP connections get
-/// ids from 1; id 0 is the connectionless source — the UDP socket, and the
-/// in-process drivers, whose frames carry no ordering contract either.
+/// ids from 1; id 0 is the connectionless source — the UDP socket, and
+/// [`SyslogListener::feed`], whose frames carry no ordering contract either.
 pub const UDP_SOURCE: u64 = 0;
+
+/// Frames [`SyslogListener::feed`] hands over per enqueue.
+const FEED_CHUNK: usize = 64;
 
 /// A frame the pipeline could not (or chose not to) ingest, kept for
 /// operator inspection.
@@ -186,15 +190,6 @@ impl DeadLetterRing {
     }
 }
 
-/// Per-source counters kept by [`IngestStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SourceCounters {
-    /// Frames decoded from this source.
-    pub frames: u64,
-    /// Raw bytes received from this source.
-    pub bytes: u64,
-}
-
 /// Shared, lock-light counters for the whole listener. Snapshot with
 /// [`IngestStats::snapshot`] to thread through
 /// [`MonitorService::health`](hetsyslog_core::MonitorService::health).
@@ -204,7 +199,8 @@ pub struct SourceCounters {
 /// the same counters detached (recording works, nothing is exported).
 #[derive(Debug)]
 pub struct IngestStats {
-    /// Frames decoded off the wire (before parse).
+    /// Frames offered to the live path (before parse): decoded off the
+    /// wire, or handed to [`SyslogListener::feed`].
     pub frames: Arc<Counter>,
     /// Raw bytes received.
     pub bytes: Arc<Counter>,
@@ -236,7 +232,6 @@ pub struct IngestStats {
     pub(crate) decode_us: Arc<Histogram>,
     /// Frames sitting in the bounded ingest queue (sampled by workers).
     pub(crate) queue_depth: Arc<Gauge>,
-    per_source: Mutex<HashMap<u64, SourceCounters>>,
 }
 
 impl Default for IngestStats {
@@ -326,28 +321,7 @@ impl IngestStats {
                 "Frames in the bounded ingest queue, sampled at batch pickup",
                 &[],
             ),
-            per_source: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Fold `frames`/`bytes` deltas into one source's counters.
-    pub(crate) fn add_source(&self, source: u64, frames: u64, bytes: u64) {
-        let mut map = self.per_source.lock();
-        let entry = map.entry(source).or_default();
-        entry.frames += frames;
-        entry.bytes += bytes;
-    }
-
-    /// Per-source counters, sorted by source id.
-    pub fn per_source(&self) -> Vec<(u64, SourceCounters)> {
-        let mut rows: Vec<(u64, SourceCounters)> = self
-            .per_source
-            .lock()
-            .iter()
-            .map(|(k, v)| (*k, *v))
-            .collect();
-        rows.sort_by_key(|(id, _)| *id);
-        rows
     }
 
     /// Point-in-time snapshot in the core wire format.
@@ -415,10 +389,9 @@ pub struct ListenerConfig {
     /// requires `telemetry` (a listener without a registry has nothing to
     /// sample).
     pub record_flight: bool,
-    /// Flight-recorder scrape cadence.
+    /// Flight-recorder scrape cadence. Each series keeps the last
+    /// [`obs::timeseries::DEFAULT_RING_CAPACITY`] samples.
     pub flight_interval: Duration,
-    /// Flight-recorder per-series ring capacity, in samples.
-    pub flight_capacity: usize,
     /// Alert rules evaluated by the flight recorder after every sweep.
     /// Firing/resolved state is served at `GET /alerts` and rendered by
     /// `hetsyslog top`.
@@ -447,16 +420,17 @@ impl Default for ListenerConfig {
             serve_metrics: false,
             record_flight: true,
             flight_interval: obs::timeseries::DEFAULT_SAMPLE_INTERVAL,
-            flight_capacity: obs::timeseries::DEFAULT_RING_CAPACITY,
             alert_rules: Vec::new(),
             fan_out: None,
         }
     }
 }
 
-/// The running listener. Bind with [`SyslogListener::start`], feed it over
-/// loopback TCP/UDP, then [`SyslogListener::shutdown`] for a graceful
-/// drain. It owns exactly `reactor_threads + workers` ingest threads.
+/// The running live path — its only public driver. Bind with
+/// [`SyslogListener::start`], feed it over loopback TCP/UDP or in process
+/// with [`SyslogListener::feed`], then [`SyslogListener::shutdown`] for a
+/// graceful drain. It owns exactly `reactor_threads + workers` ingest
+/// threads.
 pub struct SyslogListener {
     tcp_addr: SocketAddr,
     udp_addr: SocketAddr,
@@ -497,7 +471,7 @@ impl TelemetryEndpoints {
                 t.registry.clone(),
                 obs::SamplerConfig {
                     interval: config.flight_interval,
-                    capacity: config.flight_capacity,
+                    capacity: obs::timeseries::DEFAULT_RING_CAPACITY,
                 },
                 Some(engine.clone()),
             );
@@ -622,6 +596,21 @@ impl SyslogListener {
             endpoints,
             fan_out: config.fan_out,
         })
+    }
+
+    /// Feed frames that carry no connection identity (and so no ordering
+    /// contract) into the same live path the sockets feed: a chunk of
+    /// frames per enqueue, spread round-robin over the shards. Blocks
+    /// while the rings are full under [`OverloadPolicy::Block`], so a
+    /// feed followed by [`SyslogListener::shutdown`] loses nothing.
+    pub fn feed(&self, frames: impl IntoIterator<Item = String>) {
+        let mut frames = frames.into_iter();
+        loop {
+            let chunk: Vec<String> = frames.by_ref().take(FEED_CHUNK).collect();
+            if chunk.is_empty() || !self.path.sink().submit_many(UDP_SOURCE, chunk) {
+                return;
+            }
+        }
     }
 
     /// Address of the TCP listener.
@@ -761,21 +750,9 @@ mod tests {
         stats.frames.add(10);
         stats.shed.add(3);
         stats.parse_errors.inc();
-        stats.add_source(1, 6, 600);
-        stats.add_source(1, 4, 400);
         let snap = stats.snapshot();
         assert_eq!(snap.frames, 10);
         assert_eq!(snap.total_dropped(), 4);
-        assert_eq!(
-            stats.per_source(),
-            vec![(
-                1,
-                SourceCounters {
-                    frames: 10,
-                    bytes: 1000
-                }
-            )]
-        );
     }
 
     #[test]

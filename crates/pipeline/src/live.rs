@@ -1,10 +1,9 @@
 //! The one live path: frames in, classified records out.
 //!
-//! Every way into the pipeline — the socket listener's reactors, the
-//! in-process [`IngestPipeline`](crate::IngestPipeline) replay, the
-//! [`ClassifyingIngest`](crate::ClassifyingIngest) driver — is a *feeder*
-//! of this module: it pushes frames through a [`FrameSink`] and nothing
-//! else. What happens next is decided here and only here:
+//! [`SyslogListener`] is its only driver, with two *feeders*: the socket
+//! reactors, and [`SyslogListener::feed`] for frames that arrive in
+//! process. Each pushes frames through a [`FrameSink`] and nothing else.
+//! What happens next is decided here and only here:
 //!
 //! * the [`FrameSink`] routes each enqueue to a pipeline shard
 //!   (hash-by-connection, round-robin for connectionless sources), applies
@@ -21,6 +20,9 @@
 //!
 //! The ring hanging up mid-fill flushes the partial batch, so
 //! [`LivePath::finish`] (drop the router, join the workers) loses nothing.
+//!
+//! [`SyslogListener`]: crate::SyslogListener
+//! [`SyslogListener::feed`]: crate::SyslogListener::feed
 
 use crate::listener::{
     DeadLetter, DeadLetterRing, DropReason, IngestStats, ListenerConfig, OverloadPolicy, UDP_SOURCE,
@@ -36,12 +38,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use syslog_model::Protocol;
-
-/// Ring depth and feed granularity of the in-process drivers: how far the
-/// feeding thread may run ahead of the workers, and how many frames it
-/// hands over per enqueue.
-const IN_PROCESS_QUEUE_DEPTH: usize = 8192;
-const IN_PROCESS_CHUNK: usize = 64;
 
 /// A decoded frame tagged with its source connection and the instant it
 /// entered the queue (for queue→prediction latency accounting).
@@ -209,45 +205,10 @@ impl LivePath {
         }
     }
 
-    /// The live path as the in-process drivers run it: every
-    /// [`ListenerConfig`] default (lossless `Block`, 64-frame batches, 2 ms
-    /// fill deadline) over `workers` shards and a deeper queue.
-    pub(crate) fn start_in_process(
-        store: Arc<LogStore>,
-        service: Option<Arc<MonitorService>>,
-        workers: usize,
-        fallback_time: i64,
-        fan_out: Option<Arc<FanOut>>,
-    ) -> LivePath {
-        LivePath::start(
-            store,
-            service,
-            &ListenerConfig {
-                workers,
-                queue_depth: IN_PROCESS_QUEUE_DEPTH,
-                fallback_time,
-                fan_out,
-                ..ListenerConfig::default()
-            },
-        )
-    }
-
     /// The submit side. Clones handed to feeder threads must be dropped
     /// before [`LivePath::finish`] can complete.
     pub(crate) fn sink(&self) -> &FrameSink {
         self.sink.as_ref().expect("live path already finished")
-    }
-
-    /// Feed frames that carry no connection identity (and so no ordering
-    /// contract), a chunk per enqueue, spread round-robin over the shards.
-    pub(crate) fn feed(&self, frames: impl IntoIterator<Item = String>) {
-        let mut frames = frames.into_iter();
-        loop {
-            let chunk: Vec<String> = frames.by_ref().take(IN_PROCESS_CHUNK).collect();
-            if chunk.is_empty() || !self.sink().submit_many(UDP_SOURCE, chunk) {
-                return;
-            }
-        }
     }
 
     /// Graceful drain: drop the router (every feeder's clone must already
@@ -457,7 +418,7 @@ impl Worker {
 mod tests {
     use super::*;
     use crate::testsupport::wait_until;
-    use crate::{ClassifyingIngest, IngestPipeline, SyslogListener};
+    use crate::SyslogListener;
     use datagen::{StreamConfig, StreamGenerator};
     use hetsyslog_core::{Category, Prediction, TextClassifier};
     use std::io::Write;
@@ -525,16 +486,15 @@ mod tests {
     }
 
     /// The same stream through every feeder stores the same records, and
-    /// every feeder's ledger balances.
+    /// every run's ledger balances.
     #[test]
     fn every_feeder_stores_the_same_records_and_balances_its_ledger() {
-        let (frames, free_form, empty) = mixed_stream();
+        let (frames, _, empty) = mixed_stream();
         let kept = FRAMES as u64 - empty;
 
-        // One TCP listener run, two connections; asserts its ledger.
-        let tcp_run = |store: &Arc<LogStore>, service, config| {
-            let listener =
-                SyslogListener::start(store.clone(), Some(service), config).expect("bind");
+        // One TCP run, two connections; asserts its ledger.
+        let tcp_run = |store: &Arc<LogStore>, service: Option<Arc<MonitorService>>, config| {
+            let listener = SyslogListener::start(store.clone(), service, config).expect("bind");
             for half in frames.chunks(FRAMES / 2) {
                 let mut sock = TcpStream::connect(listener.tcp_addr()).expect("connect");
                 sock.write_all(&wire(half)).expect("write");
@@ -545,9 +505,9 @@ mod tests {
             assert_eq!((tcp.ingested, tcp.decode_dropped), (kept, empty));
         };
 
-        // (a) TCP listener, nothing wired to a registry.
+        // (a) TCP, nothing wired to a registry.
         let tcp_store = Arc::new(LogStore::new());
-        tcp_run(&tcp_store, service(), ListenerConfig::default());
+        tcp_run(&tcp_store, Some(service()), ListenerConfig::default());
 
         // (b) UDP, paced so the socket buffer never overflows.
         let udp_store = Arc::new(LogStore::new());
@@ -574,23 +534,25 @@ mod tests {
         assert_eq!((udp.frames, udp.parse_errors), (FRAMES as u64, empty));
         assert_eq!(dead_letters, empty);
 
-        // (c) the in-process byte-stream replay (no classifier).
-        let stream_store = Arc::new(LogStore::new());
-        let chunks: Vec<Vec<u8>> = wire(&frames).chunks(1000).map(<[u8]>::to_vec).collect();
-        let report = IngestPipeline::new(stream_store.clone(), 3).run_stream(chunks);
-        assert_eq!((report.ingested, report.dropped), (kept, 0));
-        assert_eq!(
-            (report.free_form, report.decoder_dropped),
-            (free_form, empty)
-        );
+        // (c) TCP without a classifier.
+        let unclassified_store = Arc::new(LogStore::new());
+        tcp_run(&unclassified_store, None, ListenerConfig::default());
 
-        // (d) the in-process classifying driver.
-        let run_store = Arc::new(LogStore::new());
-        let report = ClassifyingIngest::new(run_store.clone(), service(), 3).run(frames.clone());
-        assert_eq!(report.ingested, kept);
+        // (d) fed in process: the empty frames reach the parser.
+        let fed_store = Arc::new(LogStore::new());
+        let listener = SyslogListener::start(
+            fed_store.clone(),
+            Some(service()),
+            ListenerConfig::default(),
+        )
+        .expect("bind");
+        listener.feed(frames.clone());
+        let fed = listener.shutdown();
+        assert_eq!(fed.frames, fed.ingested + fed.shed + fed.parse_errors);
+        assert_eq!((fed.ingested, fed.parse_errors), (kept, empty));
 
-        // (e) the TCP listener again, every layer built on a shared
-        // registry and the listener told about it: same code, exported.
+        // (e) TCP again, every layer built on a shared registry and the
+        // listener told about it: same code, exported.
         let telemetry = obs::Telemetry::new_arc();
         let registry = &telemetry.registry;
         let scraped_store = Arc::new(LogStore::new().with_registry(registry));
@@ -598,7 +560,7 @@ mod tests {
             Arc::new(MonitorService::new(Arc::new(ByContent)).with_registry(registry));
         tcp_run(
             &scraped_store,
-            scraped_service.clone(),
+            Some(scraped_service.clone()),
             ListenerConfig {
                 telemetry: Some(telemetry.clone()),
                 ..ListenerConfig::default()
@@ -619,9 +581,9 @@ mod tests {
             .iter()
             .any(|(_, c)| *c == Some(Category::ThermalIssue)));
         assert_eq!(stored(&udp_store), reference);
-        assert_eq!(stored(&run_store), reference);
+        assert_eq!(stored(&fed_store), reference);
         assert_eq!(stored(&scraped_store), reference);
-        let unclassified = stored(&stream_store);
+        let unclassified = stored(&unclassified_store);
         assert!(unclassified.iter().all(|(_, c)| c.is_none()));
         assert!(unclassified
             .iter()
@@ -629,35 +591,60 @@ mod tests {
             .eq(reference.iter().map(|(m, _)| m)));
     }
 
-    /// What the in-process drivers gained by feeding the live path:
-    /// batch/shard accounting that covers every frame, and a dead letter
-    /// for every parse error.
+    /// A fed run gets a socket run's accounting: batch and shard counters
+    /// that cover every frame, a dead letter for every parse error, the
+    /// fallback time on records without a timestamp, and a classification
+    /// stored with every record.
     #[test]
-    fn in_process_feed_is_fully_accounted() {
+    fn fed_frames_are_fully_accounted() {
         let (frames, free_form, empty) = mixed_stream();
         let store = Arc::new(LogStore::new());
-        let mut path = LivePath::start_in_process(store.clone(), Some(service()), 3, 0, None);
-        path.feed(frames);
-        path.finish();
-        let stats = path.stats.snapshot();
+        let service = service();
+        let listener = SyslogListener::start(
+            store.clone(),
+            Some(service.clone()),
+            ListenerConfig {
+                workers: 3,
+                fallback_time: 777,
+                ..ListenerConfig::default()
+            },
+        )
+        .expect("bind");
+        listener.feed(frames);
+        let live = listener.stats();
+        assert!(wait_until(30_000, || {
+            live.ingested.get() + live.parse_errors.get() == FRAMES as u64
+        }));
+        assert_eq!(live.free_form.get(), free_form);
+        assert_eq!(listener.dead_letters().total_recorded(), empty);
+        let batch_stats = listener.batch_stats_handle();
+        let shard_stats = listener.shard_stats_handle();
+        let stats = listener.shutdown();
         assert_eq!(stats.frames, FRAMES as u64);
         assert_eq!(
             stats.frames,
             stats.ingested + stats.shed + stats.parse_errors
         );
         assert_eq!((stats.parse_errors, stats.shed), (empty, 0));
-        assert_eq!(path.dead_letters.total_recorded(), empty);
-        assert_eq!(path.stats.free_form.get(), free_form);
         assert_eq!(store.len() as u64, stats.ingested);
-        let batching = path.batch_stats.snapshot();
+        assert_eq!(store.search(777, 778, &[]).len() as u64, free_form);
+        let batching = batch_stats.snapshot();
         assert_eq!(batching.frames, FRAMES as u64);
         assert_eq!(batching.classified, stats.ingested);
-        let processed: u64 = path.shard_stats.iter().map(|s| s.processed.get()).sum();
-        let routed: u64 = path.shard_stats.iter().map(|s| s.routed.get()).sum();
+        let processed: u64 = shard_stats.iter().map(|s| s.processed.get()).sum();
+        let routed: u64 = shard_stats.iter().map(|s| s.routed.get()).sum();
         assert_eq!((processed, routed), (FRAMES as u64, FRAMES as u64));
         assert!(
-            path.shard_stats.iter().all(|s| s.routed.get() > 0),
+            shard_stats.iter().all(|s| s.routed.get() > 0),
             "round-robin feeding must reach every shard"
         );
+        let monitor = service.stats();
+        let thermal = stored(&store)
+            .iter()
+            .filter(|(_, c)| *c == Some(Category::ThermalIssue))
+            .count() as u64;
+        assert_eq!(monitor.total, stats.ingested);
+        assert!(thermal > 0);
+        assert_eq!(monitor.count(Category::ThermalIssue), thermal);
     }
 }

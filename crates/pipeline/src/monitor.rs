@@ -1,13 +1,12 @@
-//! Real-time classification inside the ingest path — the end state the
-//! paper's Future Work aims at: "deploying our trained models on the new
-//! data we stored in our collection system".
+//! Micro-batch accounting for the live path's shard workers: why a batch
+//! left assembly ([`FlushReason`]) and the counters every flush lands on
+//! ([`BatchStats`]). Classification in flight is the live path's own
+//! work (`live.rs`), driven by [`crate::SyslogListener`].
 
-use crate::live::LivePath;
-use crate::store::LogStore;
 use crossbeam::channel::DrainStatus;
-use hetsyslog_core::{BatchSnapshot, MonitorService};
+use hetsyslog_core::BatchSnapshot;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Why a micro-batch left the assembly stage for the classifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,107 +167,9 @@ impl BatchStats {
     }
 }
 
-/// Ingest + classify report.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ClassifyReport {
-    /// Records stored.
-    pub ingested: u64,
-    /// Wall-clock seconds.
-    pub seconds: f64,
-}
-
-impl ClassifyReport {
-    /// End-to-end classified-ingest throughput.
-    pub fn messages_per_second(&self) -> f64 {
-        if self.seconds <= 0.0 {
-            0.0
-        } else {
-            self.ingested as f64 / self.seconds
-        }
-    }
-}
-
-/// An in-process driver that classifies every record in flight via a
-/// [`MonitorService`] before storing it.
-///
-/// A *feeder* of the live path (`live.rs`): frames go round-robin onto
-/// the shard rings, and the shard workers push each micro-batch through
-/// one fused [`MonitorService::ingest_frames`] call — parse → tokenize →
-/// CSR transform → batch predict — exactly as behind the socket listener.
-/// Notifications are a [`ClassifyingIngest::with_fan_out`] lane whose
-/// sink keeps the records with an actionable `category`.
-pub struct ClassifyingIngest {
-    store: Arc<LogStore>,
-    service: Arc<MonitorService>,
-    workers: usize,
-    fallback_time: i64,
-    fan_out: Option<Arc<crate::sink::FanOut>>,
-}
-
-impl ClassifyingIngest {
-    /// Build over a shared store and monitor service.
-    pub fn new(
-        store: Arc<LogStore>,
-        service: Arc<MonitorService>,
-        workers: usize,
-    ) -> ClassifyingIngest {
-        ClassifyingIngest {
-            store,
-            service,
-            workers: workers.max(1),
-            fallback_time: 0,
-            fan_out: None,
-        }
-    }
-
-    /// Set the fallback event time.
-    pub fn with_fallback_time(mut self, t: i64) -> ClassifyingIngest {
-        self.fallback_time = t;
-        self
-    }
-
-    /// Fan every stored batch out to the given sink router as well (see
-    /// [`crate::sink::FanOut`]): each classified micro-batch is submitted
-    /// to the sinks right before the store insert, with per-lane overload
-    /// and spill semantics. The caller keeps the handle and shuts the
-    /// fan-out down after its last run.
-    pub fn with_fan_out(mut self, fan_out: Arc<crate::sink::FanOut>) -> ClassifyingIngest {
-        self.fan_out = Some(fan_out);
-        self
-    }
-
-    /// Run to completion over raw frames: every frame that parses is
-    /// classified and stored with its category.
-    pub fn run<I>(&self, frames: I) -> ClassifyReport
-    where
-        I: IntoIterator<Item = String>,
-    {
-        let started = Instant::now();
-        let mut path = LivePath::start_in_process(
-            self.store.clone(),
-            Some(self.service.clone()),
-            self.workers,
-            self.fallback_time,
-            self.fan_out.clone(),
-        );
-        path.feed(frames);
-        path.finish();
-        ClassifyReport {
-            ingested: path.stats.ingested.get(),
-            seconds: started.elapsed().as_secs_f64(),
-        }
-    }
-
-    /// The monitor service (for stats inspection).
-    pub fn service(&self) -> &MonitorService {
-        &self.service
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsyslog_core::{Category, Prediction, TextClassifier};
 
     #[test]
     fn snapshot_counts_frames_and_reports_log_linear_quantiles() {
@@ -299,61 +200,5 @@ mod tests {
         assert!(within(snap.fill_latency_p50_us, 300), "{snap:?}");
         assert!(within(snap.queue_latency_p50_us, 50_000), "{snap:?}");
         assert!(within(snap.p99_queue_latency_us(), 99_000), "{snap:?}");
-    }
-
-    struct Stub;
-    impl TextClassifier for Stub {
-        fn name(&self) -> String {
-            "stub".into()
-        }
-        fn classify(&self, message: &str) -> Prediction {
-            if message.contains("throttled") {
-                Prediction::bare(Category::ThermalIssue)
-            } else {
-                Prediction::bare(Category::Unimportant)
-            }
-        }
-    }
-
-    fn stub_ingest(store: Arc<LogStore>, workers: usize) -> ClassifyingIngest {
-        ClassifyingIngest::new(
-            store,
-            Arc::new(MonitorService::new(Arc::new(Stub))),
-            workers,
-        )
-    }
-
-    #[test]
-    fn classifies_in_flight() {
-        let store = Arc::new(LogStore::new());
-        let ingest = stub_ingest(store.clone(), 2);
-        let frames = vec![
-            "<13>Oct 11 22:14:15 cn0001 kernel: cpu clock throttled".to_string(),
-            "<13>Oct 11 22:14:16 cn0002 systemd: Started Session 1".to_string(),
-        ];
-        let report = ingest.run(frames);
-        assert_eq!(report.ingested, 2);
-        let hot = store.search(0, i64::MAX / 2, &["throttled".to_string()]);
-        assert_eq!(hot.len(), 1);
-        assert_eq!(hot[0].category, Some(Category::ThermalIssue));
-        assert_eq!(ingest.service().stats().total, 2);
-    }
-
-    #[test]
-    fn concurrent_classification_volume() {
-        let store = Arc::new(LogStore::new());
-        let ingest = stub_ingest(store.clone(), 4);
-        let frames: Vec<String> = (0..2000)
-            .map(|i| {
-                format!(
-                    "<13>Oct 11 22:{:02}:{:02} cn0001 kernel: cpu clock throttled {i}",
-                    i / 60 % 60,
-                    i % 60
-                )
-            })
-            .collect();
-        let report = ingest.run(frames);
-        assert_eq!(report.ingested, 2000);
-        assert_eq!(ingest.service().stats().count(Category::ThermalIssue), 2000);
     }
 }

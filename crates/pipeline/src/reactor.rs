@@ -393,11 +393,9 @@ impl Reactor {
             return true; // spurious readiness
         }
         let stats = &self.sink.stats;
-        let datagrams = frames.len() as u64;
         stats.bytes.add(total);
-        stats.udp_datagrams.add(datagrams);
+        stats.udp_datagrams.add(frames.len() as u64);
         stats.udp_bytes.add(total);
-        stats.add_source(UDP_SOURCE, datagrams, total);
         self.stats.read_bytes.record(total);
         self.sink.submit_many(UDP_SOURCE, frames)
     }
@@ -437,7 +435,6 @@ impl Reactor {
                         conn.decoder_dropped = conn.decoder.dropped();
                         stats.decode_dropped.add(dropped_now);
                     }
-                    stats.add_source(conn_id, frames.len() as u64, n as u64);
                     if !self.sink.submit_many(conn_id, frames) {
                         alive = false;
                         break;
@@ -499,7 +496,6 @@ impl Reactor {
         drop(stream);
         let stats = &self.sink.stats;
         if let Some(tail) = decoder.finish() {
-            stats.add_source(conn_id, 1, 0);
             self.sink.submit_many(conn_id, vec![tail]);
         }
         let dropped_now = decoder.dropped() - decoder_dropped;

@@ -97,6 +97,34 @@ fn four_concurrent_connections_mixed_hostile_traffic() {
     assert!(tails.iter().all(|r| !r.message.contains("60 <13>")));
 }
 
+/// An oversized octet count is a decoder drop whose payload still ingests
+/// as an LF frame; a truncated octet-counted tail is flushed at close
+/// without its `35 ` count token.
+#[test]
+fn oversized_count_payload_survives_and_truncated_count_does_not_leak() {
+    let store = Arc::new(LogStore::new());
+    let listener =
+        SyslogListener::start(store.clone(), None, ListenerConfig::default()).expect("bind");
+    let mut sock = TcpStream::connect(listener.tcp_addr()).expect("connect");
+    sock.write_all(b"999999 <13>Oct 11 22:14:15 cn0001 kernel: ok\n35 <13>Oct")
+        .expect("write");
+    drop(sock);
+
+    assert!(
+        wait_until(5_000, || listener.stats().snapshot().ingested == 2),
+        "timed out: {:?}",
+        listener.stats().snapshot()
+    );
+    let report = listener.shutdown();
+    assert_eq!(
+        (report.ingested, report.decode_dropped, report.parse_errors),
+        (2, 1, 0)
+    );
+    let all = store.search(i64::MIN / 2, i64::MAX / 2, &[]);
+    assert!(all.iter().any(|r| r.message.ends_with("ok")), "{all:?}");
+    assert!(all.iter().all(|r| !r.message.starts_with("35 ")), "{all:?}");
+}
+
 #[test]
 fn shed_policy_counts_and_dead_letters_queue_full_drops() {
     let store = Arc::new(LogStore::new());
@@ -260,12 +288,7 @@ fn udp_datagrams_ingest_and_empty_datagrams_dead_letter() {
     assert_eq!(letters[0].reason, DropReason::ParseError);
     assert_eq!(letters[0].source, logpipeline::listener::UDP_SOURCE);
 
-    let per_source = listener.stats().per_source();
-    let udp_row = per_source
-        .iter()
-        .find(|(id, _)| *id == logpipeline::listener::UDP_SOURCE)
-        .expect("udp counters");
-    assert_eq!(udp_row.1.frames, 5);
+    assert_eq!(listener.stats().udp_datagrams.get(), 5);
 
     // The datagrams were read by reactor 0 (which owns the UDP socket),
     // not by a thread of their own: with no TCP traffic, only reactor 0
@@ -276,6 +299,7 @@ fn udp_datagrams_ingest_and_empty_datagrams_dead_letter() {
     assert_eq!(reactors[1].read_bytes.count(), 0);
 
     let report = listener.shutdown();
+    assert_eq!(report.frames, 5, "one datagram = one frame");
     assert_eq!(report.ingested, 4);
     assert_eq!(report.parse_errors, 1);
 }

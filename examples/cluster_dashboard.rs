@@ -9,6 +9,7 @@ use hetsyslog::pipeline::views::{
 };
 use hetsyslog::prelude::*;
 use std::sync::Arc;
+use std::time::Instant;
 
 const SPARKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
@@ -33,8 +34,6 @@ fn main() {
         &corpus,
     ));
     let store = Arc::new(LogStore::with_shard_seconds(60));
-    let service = Arc::new(MonitorService::new(clf));
-    let ingest = ClassifyingIngest::new(store.clone(), service, 4);
     let start = 1_697_000_000i64;
     let frames: Vec<String> = StreamGenerator::new(StreamConfig {
         start_unix: start,
@@ -45,10 +44,22 @@ fn main() {
     .take(30_000)
     .map(|t| t.to_frame())
     .collect();
-    let report = ingest.run(frames);
+    let started = Instant::now();
+    let listener = SyslogListener::start(
+        store.clone(),
+        Some(Arc::new(MonitorService::new(clf))),
+        ListenerConfig {
+            workers: 4,
+            ..ListenerConfig::default()
+        },
+    )
+    .expect("bind loopback listener");
+    listener.feed(frames);
+    let report = listener.shutdown();
     println!(
         "tivan-sim dashboard — {} records indexed in {:.2}s\n",
-        report.ingested, report.seconds
+        report.ingested,
+        started.elapsed().as_secs_f64()
     );
 
     // Panel 1: per-category message rate (10 s buckets).

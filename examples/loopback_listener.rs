@@ -194,22 +194,9 @@ fn main() {
 
     let health = listener.health().expect("service attached");
     let dead = listener.dead_letters().snapshot();
-    let per_source = listener.stats().per_source();
     let report = listener.shutdown();
 
     println!("ingest:   {report:#?}");
-    println!("\nper-source frame counts:");
-    for (id, counters) in per_source {
-        let name = if id == 0 {
-            "udp".to_string()
-        } else {
-            format!("tcp conn {id}")
-        };
-        println!(
-            "  {name:<12} {} frames, {} bytes",
-            counters.frames, counters.bytes
-        );
-    }
     println!("\nclassified categories (via MonitorService):");
     for c in Category::ALL {
         let n = health.monitor.count(c);

@@ -1,12 +1,12 @@
 //! Real-time monitoring: the full Tivan-style loop.
 //!
 //! Generates a bursty synthetic syslog stream (Poisson base load plus a
-//! thermal-runaway burst), pushes it through the multi-threaded
-//! parse → classify → index pipeline, shows the first actionable records
-//! (what a notification lane would deliver), and then runs the paper's
-//! §4.5 monitoring views over the resulting store: frequency analysis
-//! with burst detection, positional (per-rack) analysis, and a
-//! per-architecture comparison.
+//! thermal-runaway burst), feeds it through the listener's live path
+//! (parse → classify → index on the shard workers), shows the first
+//! actionable records (what a notification lane would deliver), and then
+//! runs the paper's §4.5 monitoring views over the resulting store:
+//! frequency analysis with burst detection, positional (per-rack)
+//! analysis, and a per-architecture comparison.
 //!
 //! Run: `cargo run --release --example realtime_monitor`
 
@@ -15,6 +15,7 @@ use hetsyslog::pipeline::views::{
 };
 use hetsyslog::prelude::*;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn main() {
     // Train on a scaled Darwin corpus.
@@ -39,16 +40,27 @@ fn main() {
     });
     let frames: Vec<String> = stream.take(12_000).map(|t| t.to_frame()).collect();
 
-    // Ingest with classification in flight.
+    // Ingest with classification in flight: the stream is fed in process
+    // into the same live path the listener's sockets feed.
     let store = Arc::new(LogStore::with_shard_seconds(60));
-    let ingest = ClassifyingIngest::new(store.clone(), service.clone(), 4);
-    let report = ingest.run(frames);
+    let started = Instant::now();
+    let listener = SyslogListener::start(
+        store.clone(),
+        Some(service.clone()),
+        ListenerConfig {
+            workers: 4,
+            ..ListenerConfig::default()
+        },
+    )
+    .expect("bind loopback listener");
+    listener.feed(frames);
+    let report = listener.shutdown();
+    let seconds = started.elapsed().as_secs_f64();
+    let rate = report.ingested as f64 / seconds;
     println!(
-        "ingested {} frames in {:.2}s ({:.0} msgs/s sustained, {:.1}M msgs/hour)",
+        "ingested {} frames in {seconds:.2}s ({rate:.0} msgs/s sustained, {:.1}M msgs/hour)",
         report.ingested,
-        report.seconds,
-        report.messages_per_second(),
-        report.messages_per_second() * 3600.0 / 1e6,
+        rate * 3600.0 / 1e6,
     );
     let stats = service.stats();
     let actionable: u64 = Category::ALL

@@ -80,10 +80,9 @@ pub mod prelude {
         ZeroShotLlmClassifier,
     };
     pub use logpipeline::{
-        compare_to_arch_peers, sensor_sweep, BulkSink, ClassifyingIngest, ClusterTopology, FanOut,
-        FaultPlan, FileSink, Frontend, IngestPipeline, ListenerConfig, LogStore, MetricSink,
-        OverloadPolicy, Query, SensorVerdict, Sink, SinkLaneConfig, SinkSpec, SpillConfig,
-        SyslogListener,
+        compare_to_arch_peers, sensor_sweep, BulkSink, ClusterTopology, FanOut, FaultPlan,
+        FileSink, Frontend, ListenerConfig, LogStore, MetricSink, OverloadPolicy, Query,
+        SensorVerdict, Sink, SinkLaneConfig, SinkSpec, SpillConfig, SyslogListener,
     };
     pub use obs::{AlertEngine, Cmp, Registry, Rule, RuleInput, Telemetry};
     pub use syslog_model::{parse, split_stream, FrameDecoder, Severity, SyslogMessage};

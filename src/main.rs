@@ -5,7 +5,7 @@
 //! hetsyslog train    --corpus corpus.jsonl --model cnb --out model.json
 //! hetsyslog classify --model model.json [--explain]   (messages on stdin)
 //! hetsyslog eval     --scale 0.02 [--drop-unimportant]
-//! hetsyslog monitor  --frames 20000 --workers 4 [--frontend reactor:threads=2]
+//! hetsyslog monitor  --frames 20000 --workers 4 [--conns 8] [--frontend reactor:threads=2]
 //! hetsyslog top      --addr 127.0.0.1:9100 [--watch]
 //! hetsyslog flight   export --addr 127.0.0.1:9100 --out flight.json
 //! hetsyslog summarize --scale 0.01 --window 60
@@ -57,7 +57,7 @@ fn usage_and_exit() -> ! {
          \x20 classify   --model FILE [--explain]           classify stdin lines\n\
          \x20 eval       --scale F [--drop-unimportant]     run the Figure 3 evaluation\n\
          \x20 monitor    --frames N --workers N [--sink SPEC]... [--spill DIR]  simulate real-time monitoring\n\
-         \x20            [--frontend reactor[:threads=N] [--conns N]]   replay over a live TCP listener\n\
+         \x20            [--conns N] [--frontend reactor[:threads=N]]   over N loopback TCP connections\n\
          \x20 top        --addr HOST:PORT [--interval-ms N] one-shot dashboard from a /metrics scrape\n\
          \x20            [--watch [--iterations N]]         live refresh + /alerts panel (time-series ring)\n\
          \x20 flight     export --addr HOST:PORT [--out FILE]  dump the /flight time-series ring as JSON\n\
@@ -357,7 +357,11 @@ fn cmd_monitor(opts: &Opts) -> Result<(), String> {
     let frames = opts.get_u64("frames", 20_000)? as usize;
     let workers = opts.get_u64("workers", 4)? as usize;
     let seed = opts.get_u64("seed", 42)?;
-    let frontend = opts.get("frontend").map(parse_frontend).transpose()?;
+    let frontend = opts
+        .get("frontend")
+        .map(parse_frontend)
+        .transpose()?
+        .unwrap_or_default();
     let corpus = load_corpus(opts)?;
     let clf: Arc<dyn TextClassifier> = Arc::new(TraditionalPipeline::train(
         FeatureConfig::default(),
@@ -380,19 +384,8 @@ fn cmd_monitor(opts: &Opts) -> Result<(), String> {
     .take(frames)
     .map(|t| t.to_frame())
     .collect();
-    let (ingested, seconds) = if let Some(frontend) = frontend {
-        // Replay the stream over loopback TCP through the real listener,
-        // exercising the reactor front end end to end: framing, shard
-        // routing, batched classification, store, and sink fan-out.
-        run_monitor_listener(opts, frontend, workers, &stream, &store, &service, &fan_out)?
-    } else {
-        let mut ingest = ClassifyingIngest::new(store.clone(), service.clone(), workers);
-        if let Some(fan_out) = &fan_out {
-            ingest = ingest.with_fan_out(fan_out.clone());
-        }
-        let report = ingest.run(stream);
-        (report.ingested, report.seconds)
-    };
+    let (ingested, seconds) =
+        run_monitor_listener(opts, frontend, workers, &stream, &store, &service, &fan_out)?;
     let stats = service.stats();
     let rate = if seconds > 0.0 {
         ingested as f64 / seconds
@@ -425,9 +418,8 @@ fn cmd_monitor(opts: &Opts) -> Result<(), String> {
         println!("actionable: [{c}] {message} -> {}", c.suggested_action());
     }
     if let Some(fan_out) = &fan_out {
-        // Graceful drain: wait for sink acks (or spill the remainder),
-        // then print each lane's delivery ledger.
-        fan_out.shutdown(std::time::Duration::from_secs(10));
+        // The listener's graceful drain already waited for sink acks (or
+        // spilled the remainder): print each lane's delivery ledger.
         println!(
             "\n{:<12} {:>10} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
             "sink", "submitted", "delivered", "dropped", "spilled", "pending", "retries", "ledger"
@@ -449,11 +441,12 @@ fn cmd_monitor(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The `--frontend` monitor path: start a real [`SyslogListener`] on
-/// loopback with the requested reactor pool, split the frame stream
-/// across `--conns` octet-counting senders, wait for the drain, and
-/// return `(ingested, seconds)`. The listener's graceful shutdown also
-/// drains the sink fan-out, so the caller's `FanOut::shutdown` is a no-op.
+/// The monitor's one path: start a [`SyslogListener`] on loopback with
+/// the requested reactor pool, replay the frame stream over `--conns`
+/// octet-counting TCP senders — framing, shard routing, batched
+/// classification, store and sink fan-out, end to end — wait for the
+/// drain, and return `(ingested, seconds)`. The listener's graceful
+/// shutdown also drains the sink fan-out.
 fn run_monitor_listener(
     opts: &Opts,
     frontend: Frontend,
@@ -472,8 +465,6 @@ fn run_monitor_listener(
         ListenerConfig {
             frontend,
             workers,
-            queue_depth: 4096,
-            overload: OverloadPolicy::Block,
             fan_out: fan_out.clone(),
             ..ListenerConfig::default()
         },

@@ -161,8 +161,6 @@ fn throughput_shape_reproduces() {
         Box::new(ComplementNaiveBayes::new(Default::default())),
         &corpus,
     ));
-    let store = Arc::new(LogStore::new());
-    let ingest = ClassifyingIngest::new(store, Arc::new(MonitorService::new(clf)), 4);
     let frames: Vec<String> = StreamGenerator::new(StreamConfig {
         seed: 3,
         ..StreamConfig::default()
@@ -170,8 +168,20 @@ fn throughput_shape_reproduces() {
     .take(8000)
     .map(|t| t.to_frame())
     .collect();
-    let report = ingest.run(frames);
-    let traditional_mph = report.messages_per_second() * 3600.0;
+    let started = std::time::Instant::now();
+    let listener = SyslogListener::start(
+        Arc::new(LogStore::new()),
+        Some(Arc::new(MonitorService::new(clf))),
+        ListenerConfig {
+            workers: 4,
+            ..ListenerConfig::default()
+        },
+    )
+    .expect("bind loopback listener");
+    listener.feed(frames);
+    let report = listener.shutdown();
+    assert_eq!(report.ingested, 8000);
+    let traditional_mph = report.ingested as f64 / started.elapsed().as_secs_f64() * 3600.0;
     assert!(
         traditional_mph > 1_000_000.0,
         "traditional pipeline too slow: {traditional_mph:.0}/hour"

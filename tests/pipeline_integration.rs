@@ -1,12 +1,16 @@
-//! Integration: synthetic stream → multi-threaded ingest → store →
-//! queries → §4.5 monitoring views, with classification in flight.
+//! Integration: synthetic stream → the live path (over loopback TCP or
+//! fed in process) → store → queries → §4.5 monitoring views, with
+//! classification in flight.
 
+use hetsyslog::pipeline::testsupport::wait_until;
 use hetsyslog::pipeline::views::{frequency_analysis, positional_analysis, GroupBy};
 use hetsyslog::pipeline::{SinkBatch, SinkError};
 use hetsyslog::prelude::*;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 const START: i64 = 1_697_000_000;
 
@@ -23,7 +27,7 @@ fn trained_classifier() -> Arc<dyn TextClassifier> {
     ))
 }
 
-fn stream_frames(n: usize, burst_probability: f64) -> Vec<String> {
+fn stream(n: usize, burst_probability: f64) -> impl Iterator<Item = datagen::TimedMessage> {
     StreamGenerator::new(StreamConfig {
         start_unix: START,
         burst_probability,
@@ -31,21 +35,58 @@ fn stream_frames(n: usize, burst_probability: f64) -> Vec<String> {
         ..StreamConfig::default()
     })
     .take(n)
-    .map(|t| t.to_frame())
-    .collect()
+}
+
+fn stream_frames(n: usize, burst_probability: f64) -> Vec<String> {
+    stream(n, burst_probability).map(|t| t.to_frame()).collect()
+}
+
+/// The live path over `store`; frames without a timestamp land at START.
+fn start(
+    store: &Arc<LogStore>,
+    service: Option<Arc<MonitorService>>,
+    fan_out: Option<Arc<FanOut>>,
+) -> SyslogListener {
+    SyslogListener::start(
+        store.clone(),
+        service,
+        ListenerConfig {
+            fallback_time: START,
+            fan_out,
+            ..ListenerConfig::default()
+        },
+    )
+    .expect("bind loopback listener")
 }
 
 #[test]
 fn full_ingest_and_query_roundtrip() {
+    const FRAMES: u64 = 5000;
     let store = Arc::new(LogStore::with_shard_seconds(60));
-    let pipeline = IngestPipeline::new(store.clone(), 4).with_fallback_time(START);
-    let report = pipeline.run(stream_frames(5000, 0.0));
-    assert_eq!(report.ingested, 5000);
-    assert_eq!(store.len(), 5000);
+    let listener = start(&store, None, None);
+    let messages: Vec<_> = stream(FRAMES as usize, 0.0).collect();
+    // Two senders, octet-counted wire, as rsyslog forwards over TCP.
+    for half in messages.chunks(messages.len() / 2) {
+        let mut sock = TcpStream::connect(listener.tcp_addr()).expect("connect");
+        let wire: Vec<u8> = half.iter().flat_map(|m| m.to_wire()).collect();
+        sock.write_all(&wire).expect("write");
+    }
     assert!(
-        report.free_form == 0,
-        "stream frames must parse structurally"
+        wait_until(30_000, || listener.stats().frames.get() == FRAMES),
+        "timed out: {:?}",
+        listener.stats().snapshot()
     );
+    let stats = listener.stats();
+    let (free_form, closed) = (stats.free_form.clone(), stats.connections_closed.clone());
+    let report = listener.shutdown();
+    assert_eq!(
+        report.frames,
+        report.ingested + report.shed + report.parse_errors
+    );
+    assert_eq!(report.decode_dropped, 0);
+    assert_eq!(report.connections, closed.get());
+    assert_eq!(store.len() as u64, FRAMES);
+    assert_eq!(free_form.get(), 0, "stream frames must parse structurally");
 
     // Term queries hit the inverted index.
     let hits = Query::range(START - 100, START + 100_000)
@@ -94,12 +135,11 @@ fn classified_ingest_emits_alerts_and_views_work() {
     let store = Arc::new(LogStore::with_shard_seconds(60));
     let notify = Arc::new(NotifySink::default());
     let fan_out = FanOut::open(vec![SinkSpec::new(notify.clone())], None).unwrap();
-    let ingest = ClassifyingIngest::new(store.clone(), service.clone(), 4)
-        .with_fallback_time(START)
-        .with_fan_out(fan_out.clone());
-    let report = ingest.run(stream_frames(4000, 0.002));
+    let listener = start(&store, Some(service.clone()), Some(fan_out.clone()));
+    listener.feed(stream_frames(4000, 0.002));
+    // The drain extends to the sinks: every lane is acked on return.
+    let report = listener.shutdown();
     assert_eq!(report.ingested, 4000);
-    fan_out.shutdown(Duration::from_secs(10));
 
     let stats = service.stats();
     assert_eq!(stats.total, 4000);
@@ -141,7 +181,7 @@ fn classified_ingest_emits_alerts_and_views_work() {
 #[test]
 fn burst_detection_fires_on_injected_bursts() {
     let store = Arc::new(LogStore::with_shard_seconds(60));
-    let pipeline = IngestPipeline::new(store.clone(), 2).with_fallback_time(START);
+    let listener = start(&store, None, None);
     // A calm base load with a few injected bursts: each burst compresses
     // 50-400 messages into ~1-2 s against a ~50 msg/s background.
     let frames: Vec<String> = StreamGenerator::new(StreamConfig {
@@ -154,7 +194,8 @@ fn burst_detection_fires_on_injected_bursts() {
     .take(3000)
     .map(|t| t.to_frame())
     .collect();
-    pipeline.run(frames);
+    listener.feed(frames);
+    listener.shutdown();
 
     let series = frequency_analysis(&store, START, START + 65, 1, GroupBy::Total);
     let bursts = series.first().map(|s| s.bursts(3.0)).unwrap_or_default();
@@ -166,23 +207,25 @@ fn burst_detection_fires_on_injected_bursts() {
 
 #[test]
 fn store_throughput_exceeds_darwin_load() {
-    // >1M msgs/hour ≈ 280 msgs/s. The in-process pipeline should sustain
-    // orders of magnitude more even in a debug-built test.
+    // >1M msgs/hour ≈ 280 msgs/s. The live path should sustain orders
+    // of magnitude more even in a debug-built test.
     let store = Arc::new(LogStore::new());
-    let pipeline = IngestPipeline::new(store.clone(), 4).with_fallback_time(START);
-    let report = pipeline.run(stream_frames(10_000, 0.0));
-    assert!(
-        report.messages_per_second() > 280.0,
-        "pipeline too slow: {:.0} msgs/s",
-        report.messages_per_second()
-    );
+    let frames = stream_frames(10_000, 0.0);
+    let started = Instant::now();
+    let listener = start(&store, None, None);
+    listener.feed(frames);
+    let report = listener.shutdown();
+    let rate = report.ingested as f64 / started.elapsed().as_secs_f64();
+    assert_eq!(report.ingested, 10_000);
+    assert!(rate > 280.0, "pipeline too slow: {rate:.0} msgs/s");
 }
 
 #[test]
 fn json_lines_roundtrip_through_store_records() {
     let store = Arc::new(LogStore::new());
-    let pipeline = IngestPipeline::new(store.clone(), 2).with_fallback_time(START);
-    pipeline.run(stream_frames(50, 0.0));
+    let listener = start(&store, None, None);
+    listener.feed(stream_frames(50, 0.0));
+    listener.shutdown();
     let records = Query::range(START - 100, START + 100_000).execute(&store);
     for r in &records {
         let line = r.to_json();

@@ -8,7 +8,15 @@ use textproc::TfidfConfig;
 fn pipeline_survives_garbage_frames() {
     use std::sync::Arc;
     let store = Arc::new(LogStore::new());
-    let pipeline = IngestPipeline::new(store.clone(), 2).with_fallback_time(100);
+    let listener = SyslogListener::start(
+        store.clone(),
+        None,
+        ListenerConfig {
+            fallback_time: 100,
+            ..ListenerConfig::default()
+        },
+    )
+    .expect("bind loopback listener");
     let mut frames: Vec<String> = Vec::new();
     for i in 0..200 {
         frames.push(format!("<13>Oct 11 22:14:15 cn0001 kernel: good frame {i}"));
@@ -16,10 +24,12 @@ fn pipeline_survives_garbage_frames() {
         frames.push(String::new()); // dropped
         frames.push("<999>1 not a real pri".to_string()); // free-form fallback
     }
-    let report = pipeline.run(frames);
-    assert_eq!(report.dropped, 200, "empty frames dropped");
+    listener.feed(frames);
+    let free_form = listener.stats().free_form.clone();
+    let report = listener.shutdown();
+    assert_eq!(report.parse_errors, 200, "empty frames dropped");
     assert_eq!(report.ingested, 600, "everything else captured");
-    assert!(report.free_form >= 400, "garbage falls back to free-form");
+    assert!(free_form.get() >= 400, "garbage falls back to free-form");
     assert_eq!(store.len(), 600);
 }
 
