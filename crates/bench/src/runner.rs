@@ -246,10 +246,6 @@ pub fn rules_for(stem: &str) -> Vec<FieldRule> {
                 "batch_vs_scalar.classifiers[*].speedup",
                 "listener.seconds",
                 "listener.msgs_per_sec",
-                // The whole live micro-batching sweep is wall-clock
-                // throughput/latency on this machine; its agreement bit is
-                // asserted by the release-mode CI smoke test instead.
-                "live_batching",
             ] {
                 rules.push(FieldRule {
                     pattern,

@@ -2,8 +2,8 @@
 //! Both arms run the same instruments on the same hot path; the
 //! instrumented arm adds registry export, batch spans, the flight-recorder
 //! sampler, an alert rule and the scrape endpoint, and must sustain at
-//! least 95% of the uninstrumented arm's throughput at the
-//! `max_batch = 64` setting of the live_batching sweep.
+//! least 95% of the uninstrumented arm's throughput at the listener's
+//! default `max_batch` (64).
 //!
 //! Run: `cargo test -p bench --release --test overhead_gate -- --ignored`
 

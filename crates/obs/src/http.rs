@@ -5,7 +5,9 @@
 //! `GET` only, connection closed after every response. Scrapes are rare
 //! (a dashboard poll every few seconds) and tiny, so simplicity wins over
 //! concurrency — and the responder shares the listener runtime's
-//! poll-and-check-shutdown discipline so it never blocks a drain.
+//! poll-and-check-shutdown discipline so it never blocks a drain. Each
+//! request gets a fixed deadline to send its head and a write timeout,
+//! so one slow client cannot starve every other scrape.
 
 use crate::Registry;
 use std::io::{ErrorKind, Read, Write};
@@ -13,7 +15,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One additional route beyond the always-present `GET /metrics`.
 pub struct Route {
@@ -110,16 +112,32 @@ impl Drop for MetricsServer {
     }
 }
 
+/// Time a client has to send its whole request head, counted from accept.
+/// A scraper sends it in one packet; a client still trickling bytes after
+/// this is answered with what it sent, so it cannot hold the one serve
+/// thread.
+const HEADER_DEADLINE: Duration = Duration::from_secs(1);
+
+/// Bound on each response write, so a client that stops reading cannot
+/// hold the serve thread either.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
 fn serve_request(
     mut stream: TcpStream,
     registry: &Registry,
     routes: &[Route],
 ) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
+    let deadline = Instant::now() + HEADER_DEADLINE;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     // Read until the header terminator; a scrape request has no body.
     while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 16 * 1024 {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            break;
+        }
+        stream.set_read_timeout(Some(remaining))?;
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
@@ -249,6 +267,31 @@ mod tests {
             assert!(response.starts_with("HTTP/1.1 405"), "{response:?}");
         }
         assert!(http_get(&addr, "/metrics").is_ok());
+    }
+
+    #[test]
+    fn a_trickling_client_cannot_starve_the_scrape() {
+        let registry = Arc::new(Registry::new());
+        let server = MetricsServer::start(registry, Vec::new()).unwrap();
+        let addr = server.addr().to_string();
+        // One byte every 100 ms: each read completes well inside any
+        // per-read timeout, so only a per-request deadline ends it.
+        let trickle = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(&addr).unwrap();
+                for _ in 0..150 {
+                    if stream.write_all(b"G").is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            })
+        };
+        // Let the serve thread pick up the trickling connection first.
+        std::thread::sleep(Duration::from_millis(200));
+        http_get(&addr, "/metrics").unwrap();
+        trickle.join().unwrap();
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   dead-lettered exactly once, with the right reason);
 //! * per-shard ledgers sum to the aggregate: Σ routed == frames − shed
 //!   and Σ processed == ingested + parse_errors;
-//! * classification results are bit-identical across shard counts.
+//! * classification results are bit-identical across shard counts and
+//!   across the number of connections the same frames arrive on.
 
 use hetsyslog_core::{Category, IngestSnapshot, MonitorService, Prediction, TextClassifier};
 use logpipeline::testsupport::{wait_until, SlowStub};
@@ -41,9 +42,10 @@ impl TextClassifier for ParityStub {
 
 /// Drive one listener with mixed TCP + UDP traffic (including frames that
 /// can only parse-error) and return `(snapshot, per_category, shard sums)`.
-fn run_block(shards: usize) -> (IngestSnapshot, [u64; 8], (u64, u64)) {
-    const CONNS: usize = 4;
-    const PER_CONN: usize = 50;
+/// The same TCP frames are dealt round-robin over `conns` connections, so
+/// what the classifier sees does not depend on the connection count.
+fn run_block(shards: usize, conns: usize) -> (IngestSnapshot, [u64; 8], (u64, u64)) {
+    const TCP_FRAMES: usize = 200;
     const UDP_OK: usize = 20;
     const UDP_EMPTY: usize = 10;
 
@@ -64,14 +66,15 @@ fn run_block(shards: usize) -> (IngestSnapshot, [u64; 8], (u64, u64)) {
     assert_eq!(listener.n_shards(), shards);
     let addr = listener.tcp_addr();
 
-    let clients: Vec<_> = (0..CONNS)
+    let clients: Vec<_> = (0..conns)
         .map(|c| {
             std::thread::spawn(move || {
                 let mut sock = TcpStream::connect(addr).expect("connect");
                 let mut wire = Vec::new();
-                for k in 0..PER_CONN {
+                for i in (c..TCP_FRAMES).step_by(conns) {
+                    let (node, k) = (i % 4, i / 4);
                     let frame = format!(
-                        "<13>Oct 11 22:14:{:02} cn{c:04} app: sharded frame {k}",
+                        "<13>Oct 11 22:14:{:02} cn{node:04} app: sharded frame {k}",
                         k % 60
                     );
                     wire.extend_from_slice(format!("{} {frame}", frame.len()).as_bytes());
@@ -99,13 +102,13 @@ fn run_block(shards: usize) -> (IngestSnapshot, [u64; 8], (u64, u64)) {
         udp.send_to(b"", listener.udp_addr()).expect("send empty");
     }
 
-    let frames = (CONNS * PER_CONN + UDP_OK + UDP_EMPTY) as u64;
+    let frames = (TCP_FRAMES + UDP_OK + UDP_EMPTY) as u64;
     assert!(
         wait_until(20_000, || {
             let s = listener.stats().snapshot();
             s.frames == frames && s.ingested + s.parse_errors == frames
         }),
-        "frames did not settle at shards={shards}: {:?}",
+        "frames did not settle at shards={shards} conns={conns}: {:?}",
         listener.stats().snapshot()
     );
 
@@ -118,39 +121,47 @@ fn run_block(shards: usize) -> (IngestSnapshot, [u64; 8], (u64, u64)) {
     let report = listener.shutdown();
     assert_eq!(
         dead_lettered, report.parse_errors,
-        "every parse error dead-letters exactly once at shards={shards}"
+        "every parse error dead-letters exactly once at shards={shards} conns={conns}"
     );
     (report, service.stats().per_category, (routed, processed))
 }
 
-/// Block policy is lossless at every shard count, the per-shard ledgers
-/// sum to the aggregate, and predictions are bit-identical to shards=1.
+/// Block policy is lossless at every shard and connection count, the
+/// per-shard ledgers sum to the aggregate, and predictions are
+/// bit-identical to shards=1 over 4 connections.
 #[test]
 fn block_ledger_conserves_across_shard_counts() {
     let mut baseline: Option<[u64; 8]> = None;
-    for shards in [1usize, 2, 4] {
-        let (report, per_category, (routed, processed)) = run_block(shards);
+    for (shards, conns) in [(1, 4), (2, 4), (4, 4), (1, 200), (4, 200)] {
+        let (report, per_category, (routed, processed)) = run_block(shards, conns);
         let frames = report.frames;
-        assert_eq!(report.shed, 0, "Block never sheds (shards={shards})");
+        assert_eq!(
+            report.shed, 0,
+            "Block never sheds (shards={shards} conns={conns})"
+        );
         assert_eq!(
             report.ingested + report.parse_errors,
             frames,
-            "conservation broke at shards={shards}: {report:?}"
+            "conservation broke at shards={shards} conns={conns}: {report:?}"
         );
         assert!(report.parse_errors > 0, "empty datagrams must parse-error");
         // Per-shard ledgers are exact, not approximate.
-        assert_eq!(routed, frames, "Σ shard routed == frames (shards={shards})");
+        assert_eq!(
+            routed, frames,
+            "Σ shard routed == frames (shards={shards} conns={conns})"
+        );
         assert_eq!(
             processed,
             report.ingested + report.parse_errors,
-            "Σ shard processed == ingested + parse_errors (shards={shards})"
+            "Σ shard processed == ingested + parse_errors (shards={shards} conns={conns})"
         );
-        // Partitioning must not change what the classifier computed.
+        // Neither partitioning nor the connection count may change what
+        // the classifier computed.
         match &baseline {
             None => baseline = Some(per_category),
             Some(expect) => assert_eq!(
                 &per_category, expect,
-                "per-category predictions diverged at shards={shards}"
+                "per-category predictions diverged at shards={shards} conns={conns}"
             ),
         }
     }

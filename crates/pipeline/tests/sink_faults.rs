@@ -107,11 +107,13 @@ fn run_scenario(
 
 #[test]
 fn fault_plans_hold_ledger_in_block_mode() {
-    // The three scripted scenarios from the acceptance criteria: 5%
-    // errors, 250 ms stalls, and a hard outage (2 s here; the CI storm
-    // runs the 10 s version). Block mode: a spill-backed lane must end
-    // with zero loss in every one.
-    for (label, plan) in fault_scenarios(42, Duration::from_secs(2)) {
+    // A healthy sink, then the three scripted scenarios: 5% errors,
+    // 250 ms stalls, and a hard outage (2 s here; the CI storm runs the
+    // 10 s version). Block mode: a spill-backed lane must end with zero
+    // loss in every one.
+    let scenarios = std::iter::once(("healthy", FaultPlan::healthy().with_seed(42)))
+        .chain(fault_scenarios(42, Duration::from_secs(2)));
+    for (label, plan) in scenarios {
         let frames = if label == "stall_250ms" { 64 } else { 96 };
         let (snap, ids) = run_scenario(&format!("block-{label}"), plan, true, frames, 30_000);
         assert!(snap.ledger_balanced(), "{label}: {snap:?}");
