@@ -227,27 +227,49 @@ pub(crate) fn argmin(scores: &[f64]) -> usize {
     best
 }
 
-/// Inverted index over a training set's feature columns: postings[f] lists
-/// `(train row, value)` for every training vector with feature `f` active.
-/// Built once per fitted kNN model so a `predict_csr` query touches only
-/// the training rows that share at least one feature with it, instead of
-/// the full scan.
+/// Inverted index over a training set's feature columns, in one flat CSR
+/// layout: the postings of feature `f` are `rows[offsets[f]..offsets[f + 1]]`
+/// (training rows, ascending) with their values in the same slots of
+/// `vals`. Built once per fitted kNN model so a `predict_csr` query touches
+/// only the training rows that share at least one feature with it, instead
+/// of the full scan.
 #[derive(Debug, Clone)]
 pub(crate) struct InvertedIndex {
-    postings: Vec<Vec<(u32, f64)>>,
+    offsets: Vec<usize>,
+    rows: Vec<u32>,
+    vals: Vec<f64>,
 }
 
 impl InvertedIndex {
-    /// Index `train` by feature column.
+    /// Index `train` by feature column: count each column, prefix-sum the
+    /// counts into offsets, then fill the slots row by row.
     pub(crate) fn build(train: &[SparseVec]) -> InvertedIndex {
         let n_features = train.iter().map(SparseVec::max_dim).max().unwrap_or(0);
-        let mut postings: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n_features];
-        for (t, vec) in train.iter().enumerate() {
-            for (i, v) in vec.iter() {
-                postings[i as usize].push((t as u32, v));
+        let mut offsets = vec![0usize; n_features + 1];
+        for vec in train {
+            for &i in vec.indices() {
+                offsets[i as usize + 1] += 1;
             }
         }
-        InvertedIndex { postings }
+        for f in 0..n_features {
+            offsets[f + 1] += offsets[f];
+        }
+        let nnz = offsets[n_features];
+        let mut next = offsets[..n_features].to_vec();
+        let (mut rows, mut vals) = (vec![0u32; nnz], vec![0.0f64; nnz]);
+        for (t, vec) in train.iter().enumerate() {
+            for (i, v) in vec.iter() {
+                let slot = &mut next[i as usize];
+                rows[*slot] = t as u32;
+                vals[*slot] = v;
+                *slot += 1;
+            }
+        }
+        InvertedIndex {
+            offsets,
+            rows,
+            vals,
+        }
     }
 
     /// Accumulate `acc[t] += q_v · t_v` for every training row `t` sharing a
@@ -257,10 +279,12 @@ impl InvertedIndex {
     /// feature order — the same order as the merge in [`SparseVec::dot`].
     pub(crate) fn accumulate_dots(&self, q_indices: &[u32], q_values: &[f64], acc: &mut [f64]) {
         for (&qi, &qv) in q_indices.iter().zip(q_values) {
-            let Some(list) = self.postings.get(qi as usize) else {
+            let f = qi as usize;
+            if f + 1 >= self.offsets.len() {
                 continue;
-            };
-            for &(t, tv) in list {
+            }
+            let span = self.offsets[f]..self.offsets[f + 1];
+            for (&t, &tv) in self.rows[span.clone()].iter().zip(&self.vals[span]) {
                 acc[t as usize] += qv * tv;
             }
         }

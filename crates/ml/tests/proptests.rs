@@ -49,6 +49,62 @@ fn fast_suite(seed: u64) -> Vec<Box<dyn BatchClassifier>> {
     ]
 }
 
+/// A value log-uniform in 1e-3 … 1e3, negated one time in ten.
+fn knn_value() -> impl Strategy<Value = f64> {
+    (-3.0f64..3.0, 0u32..10).prop_map(|(e, sign)| {
+        let v = 10f64.powf(e);
+        if sign == 0 {
+            -v
+        } else {
+            v
+        }
+    })
+}
+
+/// Up to three entries over `0..n_features`; no entry gives the all-zero row.
+fn knn_row(n_features: u32) -> impl Strategy<Value = SparseVec> {
+    collection::vec((0..n_features, knn_value()), 0..4).prop_map(SparseVec::from_pairs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// kNN's two-stage `predict_csr` equals per-row `predict` on inputs
+    /// built to break it: exact copies of training rows under other labels
+    /// (ties at the k-th score across labels), copies scaled by 3 or 0.1
+    /// (cosines equal in exact arithmetic, a few ulps apart in floats),
+    /// all-zero training rows, empty queries, queries touching fewer than k
+    /// rows or carrying feature ids beyond the index, and values spanning
+    /// 1e-3 … 1e3.
+    #[test]
+    fn knn_predict_csr_matches_scalar_on_adversarial_rows(
+        k in (0usize..5).prop_map(|i| [1, 2, 3, 5, 7][i]),
+        base in collection::vec((knn_row(6), 0usize..3), 1..12),
+        copies in collection::vec((0usize..64, 0usize..3, 0usize..3), 0..10),
+        probes in collection::vec(knn_row(9), 0..8),
+    ) {
+        let (mut features, mut labels): (Vec<SparseVec>, Vec<usize>) =
+            base.iter().cloned().unzip();
+        for &(pick, scale, label) in &copies {
+            let mut row = features[pick % base.len()].clone();
+            row.scale([1.0, 3.0, 0.1][scale]);
+            features.push(row);
+            labels.push(label);
+        }
+        features.push(SparseVec::new());
+        labels.push(0);
+        let mut queries = probes;
+        queries.push(SparseVec::new());
+        queries.extend(features.iter().cloned());
+
+        let data = Dataset::new(features, labels, class_names(3));
+        let mut knn = KNearestNeighbors::new(KnnConfig { k });
+        knn.fit(&data);
+        let scalar: Vec<usize> = queries.iter().map(|x| knn.predict(x)).collect();
+        prop_assert_eq!(knn.predict_csr(&CsrMatrix::from_rows(&queries, 0)), scalar, "k = {}", k);
+    }
+}
+
 proptest! {
     /// Confusion-matrix row sums equal per-class support, and the diagonal
     /// of a self-comparison is the full support.
