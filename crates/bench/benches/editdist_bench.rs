@@ -4,7 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use datagen::{generate_corpus, CorpusConfig};
 use editdist::bucketing::{BucketStore, BucketingConfig};
-use editdist::{damerau_levenshtein, levenshtein, levenshtein_bounded};
+use editdist::levenshtein::levenshtein_bounded_chars;
+use editdist::{damerau_levenshtein, levenshtein};
 
 const A: &str = "CPU temperature above threshold, cpu clock throttled.";
 const B: &str = "CPU 1 Temperature Above Non-Recoverable - Asserted. Current temperature: 95C";
@@ -12,13 +13,15 @@ const B: &str = "CPU 1 Temperature Above Non-Recoverable - Asserted. Current tem
 fn bench_metrics(c: &mut Criterion) {
     let mut g = c.benchmark_group("edit_distance");
     g.bench_function("levenshtein_full", |b| b.iter(|| levenshtein(A, B)));
+    let chars = |s: &str| s.chars().collect::<Vec<char>>();
+    let (a, b_miss, b_hit) = (chars(A), chars(B), chars(&format!("{A}!")));
     g.bench_function("levenshtein_bounded_hit", |b| {
         // Distance within bound: full band work.
-        b.iter(|| levenshtein_bounded(A, &format!("{A}!"), 7))
+        b.iter(|| levenshtein_bounded_chars(&a, &b_hit, 7))
     });
     g.bench_function("levenshtein_bounded_miss", |b| {
         // Early exit: the hot path of bucket lookup misses.
-        b.iter(|| levenshtein_bounded(A, B, 7))
+        b.iter(|| levenshtein_bounded_chars(&a, &b_miss, 7))
     });
     g.bench_function("damerau", |b| b.iter(|| damerau_levenshtein(A, B)));
     g.finish();

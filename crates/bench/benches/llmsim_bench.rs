@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use datagen::{generate_corpus, CorpusConfig};
 use hetsyslog_core::Category;
+use llmsim::tokenizer::count_tokens;
 use llmsim::{GenerativeLlm, ModelPreset, PromptBuilder, ZeroShotModel};
 
 fn corpus() -> Vec<(String, Category)> {
@@ -30,7 +31,7 @@ fn bench_prompt_build(c: &mut Criterion) {
         b.iter(|| builder.build("Warning: Socket 2 - CPU 23 throttling at 95C"))
     });
     g.bench_function("token_count", |b| {
-        b.iter(|| builder.token_count("Warning: Socket 2 - CPU 23 throttling at 95C"))
+        b.iter(|| count_tokens(&builder.build("Warning: Socket 2 - CPU 23 throttling at 95C")))
     });
     g.finish();
 }

@@ -20,7 +20,7 @@ fn records(n: usize) -> Vec<LogRecord> {
     frames(n)
         .iter()
         .enumerate()
-        .map(|(i, f)| LogRecord::from_message(i as u64, &syslog_model::parse(f).unwrap(), 0))
+        .map(|(i, f)| LogRecord::from_message_owned(i as u64, syslog_model::parse(f).unwrap(), 0))
         .collect()
 }
 

@@ -7,7 +7,6 @@
 
 use datagen::{generate_corpus, CorpusConfig};
 use hetsyslog_core::Category;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 pub mod experiments;
@@ -134,18 +133,6 @@ pub fn write_json(path: &str, value: &serde_json::Value) {
     println!("(results written to {path})");
 }
 
-/// Per-category counts of a labeled corpus, in taxonomy order.
-pub fn category_counts(corpus: &[(String, Category)]) -> BTreeMap<&'static str, usize> {
-    let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for &c in &Category::ALL {
-        counts.insert(c.label(), 0);
-    }
-    for (_, c) in corpus {
-        *counts.get_mut(c.label()).expect("all labels present") += 1;
-    }
-    counts
-}
-
 /// Format seconds compactly (µs/ms/s).
 pub fn fmt_seconds(s: f64) -> String {
     if s < 1e-3 {
@@ -175,18 +162,6 @@ mod tests {
         // All lines same width.
         let widths: Vec<usize> = t.lines().map(str::len).collect();
         assert!(widths.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn category_counts_cover_all_labels() {
-        let corpus = vec![
-            ("a".to_string(), Category::ThermalIssue),
-            ("b".to_string(), Category::ThermalIssue),
-        ];
-        let counts = category_counts(&corpus);
-        assert_eq!(counts.len(), 8);
-        assert_eq!(counts["Thermal Issue"], 2);
-        assert_eq!(counts["Unimportant"], 0);
     }
 
     #[test]

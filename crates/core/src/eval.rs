@@ -4,11 +4,12 @@
 
 use crate::features::{FeatureConfig, FeaturePipeline};
 use crate::taxonomy::Category;
-use hetsyslog_ml::{BatchClassifier, ClassificationReport, Classifier, ConfusionMatrix, Dataset};
+use hetsyslog_ml::{BatchClassifier, ClassificationReport, ConfusionMatrix, Dataset};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
+use textproc::CsrMatrix;
 
 /// Evaluation options.
 #[derive(Debug, Clone)]
@@ -148,13 +149,19 @@ pub fn prepare_split(corpus: &[(String, Category)], config: &EvalConfig) -> Prep
 }
 
 /// Fit and score one model on a prepared split, timing both phases.
-pub fn evaluate_model(model: &mut dyn Classifier, split: &PreparedSplit) -> ModelEvaluation {
+///
+/// The test phase is one [`BatchClassifier::predict_csr`] call over the
+/// whole test half, the call the live path makes per batch, so
+/// `test_seconds` is the daemon's inference cost. The matrix is built
+/// from the split's own test vectors before the timer starts.
+pub fn evaluate_model(model: &mut dyn BatchClassifier, split: &PreparedSplit) -> ModelEvaluation {
     let t0 = Instant::now();
     model.fit(&split.train);
     let train_seconds = t0.elapsed().as_secs_f64();
 
+    let test_matrix = CsrMatrix::from_rows(&split.test.features, 0);
     let t1 = Instant::now();
-    let predicted = model.predict_batch(&split.test.features);
+    let predicted = model.predict_csr(&test_matrix);
     let test_seconds = t1.elapsed().as_secs_f64();
 
     let confusion =

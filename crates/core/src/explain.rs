@@ -28,11 +28,6 @@ impl Explanation {
             rationale: rationale.into(),
         }
     }
-
-    /// The single strongest token, if any.
-    pub fn strongest_token(&self) -> Option<&str> {
-        self.top_tokens.first().map(|(t, _)| t.as_str())
-    }
 }
 
 impl fmt::Display for Explanation {
@@ -56,15 +51,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn strongest_token_is_first() {
-        let e = Explanation::new(
-            vec![("throttle".into(), 0.9), ("cpu".into(), 0.4)],
-            "thermal vocabulary dominates",
-        );
-        assert_eq!(e.strongest_token(), Some("throttle"));
-    }
-
-    #[test]
     fn display_includes_tokens_and_text() {
         let e = Explanation::new(vec![("usb".into(), 1.0)], "usb event");
         let s = e.to_string();
@@ -75,7 +61,6 @@ mod tests {
     #[test]
     fn empty_explanation() {
         let e = Explanation::default();
-        assert_eq!(e.strongest_token(), None);
         assert_eq!(e.to_string(), "");
     }
 }

@@ -49,12 +49,6 @@ impl NoiseFilter {
         self.blacklist.is_blacklisted(message)
     }
 
-    /// Register an additional noise pattern at runtime (the
-    /// administrator's "blacklist this" action).
-    pub fn add_pattern(&mut self, message: &str) {
-        self.blacklist.add(message);
-    }
-
     /// Number of distinct patterns.
     pub fn n_patterns(&self) -> usize {
         self.blacklist.len()
@@ -114,14 +108,5 @@ mod tests {
             }
         );
         assert_eq!(kept, vec!["memory error on DIMM 4"]);
-    }
-
-    #[test]
-    fn runtime_pattern_addition() {
-        let mut f = NoiseFilter::empty(2);
-        assert!(!f.is_noise("chatty daemon heartbeat ok"));
-        f.add_pattern("chatty daemon heartbeat ok");
-        assert!(f.is_noise("chatty daemon heartbeat ok"));
-        assert!(f.is_noise("chatty daemon heartbeat OK"));
     }
 }

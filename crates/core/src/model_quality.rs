@@ -157,11 +157,6 @@ impl ModelQuality {
         }
     }
 
-    /// Whether the baseline has frozen (scoring is active).
-    pub fn baseline_frozen(&self) -> bool {
-        self.drift.lock().frozen
-    }
-
     /// Export the prediction counters and the PSI gauge on `registry`
     /// (without this call they record on a registry nobody scrapes). A
     /// construction-time builder: the instruments start from zero.
@@ -211,7 +206,7 @@ mod tests {
         let q = ModelQuality::with_config(100, 100);
         let seq: Vec<Category> = (0..100).map(|i| cat(i % 4)).collect();
         q.record(&seq);
-        assert!(q.baseline_frozen());
+        assert!(q.drift.lock().frozen);
         assert!(q.psi().is_none(), "no windowed predictions yet");
         q.record(&seq);
         let psi = q.psi().unwrap();
@@ -261,17 +256,18 @@ mod tests {
         let q = ModelQuality::with_config(4, 4).with_registry(&registry);
         q.record(&[cat(0), cat(0), cat(1), cat(1)]);
         q.record(&[cat(2), cat(2)]);
+        let scrape = obs::parse_exposition(&registry.render_prometheus());
         assert_eq!(
-            registry.counter_value(
+            scrape.value(
                 "hetsyslog_model_predictions_total",
                 &[("category", cat(0).label())]
             ),
-            Some(2)
+            Some(2.0)
         );
-        let psi_milli = (q.psi().unwrap() * 1000.0).round() as i64;
-        assert!(psi_milli > 0);
+        let psi_milli = (q.psi().unwrap() * 1000.0).round();
+        assert!(psi_milli > 0.0);
         assert_eq!(
-            registry.gauge_value("hetsyslog_model_drift_psi_milli", &[]),
+            scrape.value("hetsyslog_model_drift_psi_milli", &[]),
             Some(psi_milli)
         );
     }

@@ -182,11 +182,6 @@ impl BatchSnapshot {
             self.frames as f64 / self.batches as f64
         }
     }
-
-    /// Estimated p99 queue→prediction latency in microseconds.
-    pub fn p99_queue_latency_us(&self) -> u64 {
-        self.queue_latency_p99_us
-    }
 }
 
 /// One combined health view: classification counters plus the ingest-layer
@@ -238,11 +233,6 @@ impl MonitorService {
         self.counters = ServiceCounters::registered(registry);
         self.quality = self.quality.with_registry(registry);
         self
-    }
-
-    /// The serving-time model-quality instruments.
-    pub fn model_quality(&self) -> &ModelQuality {
-        &self.quality
     }
 
     /// Classify and count one message.
@@ -337,11 +327,6 @@ impl MonitorService {
             ingest,
             batching,
         }
-    }
-
-    /// The classifier in use.
-    pub fn classifier_name(&self) -> String {
-        self.classifier.name()
     }
 }
 
@@ -487,18 +472,15 @@ mod tests {
             scalar_svc.ingest(m);
         }
         batch_svc.ingest_batch(&refs);
-        assert!(scalar_svc.model_quality().baseline_frozen());
-        assert_eq!(
-            scalar_svc.model_quality().psi(),
-            batch_svc.model_quality().psi()
-        );
+        assert!(scalar_svc.quality.psi().is_some());
+        assert_eq!(scalar_svc.quality.psi(), batch_svc.quality.psi());
         // A quality layer installed before `with_registry` exports there.
         assert_eq!(
-            registry.counter_value(
+            obs::parse_exposition(&registry.render_prometheus()).value(
                 "hetsyslog_model_predictions_total",
                 &[("category", Category::ThermalIssue.label())]
             ),
-            Some(20)
+            Some(20.0)
         );
     }
 
@@ -513,7 +495,8 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.total, 5);
         assert_eq!(stats.per_category.iter().sum::<u64>(), stats.total);
-        let counter = |name, labels: &[(&str, &str)]| registry.counter_value(name, labels);
+        let scrape = obs::parse_exposition(&registry.render_prometheus());
+        let counter = |name, labels: &[(&str, &str)]| scrape.value(name, labels).map(|v| v as u64);
         assert_eq!(
             counter("hetsyslog_monitor_messages_total", &[]),
             Some(stats.total)

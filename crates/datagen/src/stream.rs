@@ -43,13 +43,6 @@ impl TimedMessage {
         )
     }
 
-    /// Render the frame as RFC 6587 octet-counted wire bytes (how a TCP
-    /// sender would actually ship it).
-    pub fn to_wire(&self) -> Vec<u8> {
-        let frame = self.to_frame();
-        format!("{} {frame}", frame.len()).into_bytes()
-    }
-
     /// Render a full RFC 3164-style frame for the parser / pipeline.
     pub fn to_frame(&self) -> String {
         let ts = Timestamp::from_unix_seconds(self.unix_seconds);
@@ -297,20 +290,6 @@ mod tests {
                 parsed.structured_data[0].params["family"],
                 tm.message.family
             );
-        }
-    }
-
-    #[test]
-    fn wire_bytes_decode_through_framing() {
-        let msgs: Vec<TimedMessage> = StreamGenerator::new(config()).take(20).collect();
-        let mut wire = Vec::new();
-        for m in &msgs {
-            wire.extend_from_slice(&m.to_wire());
-        }
-        let frames = syslog_model::split_stream(&wire);
-        assert_eq!(frames.len(), 20);
-        for (frame, m) in frames.iter().zip(&msgs) {
-            assert_eq!(syslog_model::parse(frame).unwrap().message, m.message.text);
         }
     }
 }

@@ -310,12 +310,6 @@ impl BucketStore {
         self.buckets[id as usize].label.as_deref()
     }
 
-    /// Buckets still waiting for a human label — the "unclassified queue"
-    /// whose growth rate is the system's retraining burden.
-    pub fn unlabeled(&self) -> impl Iterator<Item = &Bucket> {
-        self.buckets.iter().filter(|b| b.label.is_none())
-    }
-
     /// Restore the char caches and length index after deserialization.
     pub fn rebuild_caches(&mut self) {
         for b in &mut self.buckets {
@@ -371,17 +365,6 @@ mod tests {
             Some("Thermal Issue")
         );
         assert_eq!(s.classify("totally different text about slurm"), None);
-        assert_eq!(s.unlabeled().count(), 0);
-    }
-
-    #[test]
-    fn unlabeled_queue_tracks_new_buckets() {
-        let mut s = store(3);
-        s.assign("first message kind");
-        s.assign("second message kind entirely different");
-        assert_eq!(s.unlabeled().count(), 2);
-        s.label_bucket(0, "X");
-        assert_eq!(s.unlabeled().count(), 1);
     }
 
     #[test]

@@ -33,18 +33,12 @@ pub fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
     prev[b.len()]
 }
 
-/// Bounded Levenshtein: returns `Some(d)` when `d ≤ max`, else `None`.
+/// Bounded Levenshtein over char slices: returns `Some(d)` when `d ≤ max`,
+/// else `None`.
 ///
 /// Uses the length-difference lower bound, then a banded DP with per-row
 /// early exit. Equivalent to `levenshtein(a, b) <= max` but much faster on
 /// mismatches, which dominate bucket lookup.
-pub fn levenshtein_bounded(a: &str, b: &str, max: usize) -> Option<usize> {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    levenshtein_bounded_chars(&a, &b, max)
-}
-
-/// Bounded Levenshtein over pre-collected char slices.
 pub fn levenshtein_bounded_chars(a: &[char], b: &[char], max: usize) -> Option<usize> {
     let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
     if a.len() - b.len() > max {
@@ -90,6 +84,12 @@ pub fn levenshtein_bounded_chars(a: &[char], b: &[char], max: usize) -> Option<u
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn levenshtein_bounded(a: &str, b: &str, max: usize) -> Option<usize> {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        levenshtein_bounded_chars(&a, &b, max)
+    }
 
     #[test]
     fn known_distances() {

@@ -8,17 +8,15 @@
 //! baseline the paper's classifiers are compared against and the
 //! recommended "Unimportant" pre-filter from the paper's conclusion.
 //!
-//! Metrics provided: Levenshtein (full, two-row, banded with early exit),
-//! Damerau-Levenshtein (adjacent transpositions), and Hamming.
+//! Metrics provided: Levenshtein (full, two-row, banded with early exit)
+//! and Damerau-Levenshtein (adjacent transpositions).
 
 pub mod blacklist;
 pub mod bucketing;
 pub mod damerau;
-pub mod hamming;
 pub mod levenshtein;
 
 pub use blacklist::Blacklist;
 pub use bucketing::{Bucket, BucketStore, BucketingConfig};
 pub use damerau::damerau_levenshtein;
-pub use hamming::hamming;
-pub use levenshtein::{levenshtein, levenshtein_bounded};
+pub use levenshtein::levenshtein;

@@ -2,8 +2,15 @@
 //! the bucket store.
 
 use editdist::bucketing::{BucketStore, BucketingConfig};
-use editdist::{damerau_levenshtein, hamming, levenshtein, levenshtein_bounded};
+use editdist::levenshtein::levenshtein_bounded_chars;
+use editdist::{damerau_levenshtein, levenshtein};
 use proptest::prelude::*;
+
+fn levenshtein_bounded(a: &str, b: &str, max: usize) -> Option<usize> {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    levenshtein_bounded_chars(&a, &b, max)
+}
 
 proptest! {
     /// Levenshtein satisfies the metric axioms.
@@ -52,19 +59,6 @@ proptest! {
         let dam = damerau_levenshtein(&a, &b);
         prop_assert!(dam <= lev);
         prop_assert!(dam * 2 >= lev, "each swap replaces at most 2 edits");
-    }
-
-    /// Hamming is defined exactly for equal char lengths and bounds
-    /// Levenshtein from above.
-    #[test]
-    fn hamming_vs_levenshtein(a in "[a-d]{0,14}", b in "[a-d]{0,14}") {
-        match hamming(&a, &b) {
-            Some(h) => {
-                prop_assert_eq!(a.chars().count(), b.chars().count());
-                prop_assert!(levenshtein(&a, &b) <= h);
-            }
-            None => prop_assert_ne!(a.chars().count(), b.chars().count()),
-        }
     }
 
     /// Assigning the same message twice never founds a second bucket, and

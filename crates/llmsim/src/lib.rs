@@ -24,8 +24,8 @@
 //!   an in-taxonomy label;
 //! * [`classifier`] — adapters implementing
 //!   [`hetsyslog_core::TextClassifier`];
-//! * [`summarize`] — the Future Work (§7) low-frequency tasks: status
-//!   summaries, group explanations, admin-reply drafting.
+//! * [`summarize`] — the Future Work (§7) low-frequency task: status
+//!   summaries.
 
 pub mod classifier;
 pub mod clock;

@@ -7,7 +7,6 @@
 //! format, and finally … an example syslog message with its corresponding
 //! classification."
 
-use crate::tokenizer::count_tokens;
 use hetsyslog_core::Category;
 
 /// Builds classification prompts in the paper's most-successful shape.
@@ -47,12 +46,6 @@ impl PromptBuilder {
         self
     }
 
-    /// Set the one-shot example.
-    pub fn with_example(mut self, message: impl Into<String>, category: Category) -> PromptBuilder {
-        self.example = (message.into(), category);
-        self
-    }
-
     /// Render the full prompt for `message`.
     pub fn build(&self, message: &str) -> String {
         let mut p = String::with_capacity(1200);
@@ -82,16 +75,12 @@ impl PromptBuilder {
         p.push_str("\"\nCategory:");
         p
     }
-
-    /// Token count of the rendered prompt (latency accounting).
-    pub fn token_count(&self, message: &str) -> usize {
-        count_tokens(&self.build(message))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokenizer::count_tokens;
 
     #[test]
     fn prompt_contains_all_recipe_elements() {
@@ -142,19 +131,11 @@ mod tests {
                 "slurm_rpc_node_registration",
             ]),
         ]);
-        let tokens = builder.token_count("Warning: Socket 2 - CPU 23 throttling at 95C");
+        let tokens = count_tokens(&builder.build("Warning: Socket 2 - CPU 23 throttling at 95C"));
         // The latency presets calibrate against ~420 prompt tokens.
         assert!(
             (300..=550).contains(&tokens),
             "prompt token count {tokens} out of expected envelope"
         );
-    }
-
-    #[test]
-    fn custom_example() {
-        let b = PromptBuilder::new().with_example("usb 1-1 attached", Category::UsbDevice);
-        let p = b.build("x");
-        assert!(p.contains("usb 1-1 attached"));
-        assert!(p.contains("USB-Device"));
     }
 }

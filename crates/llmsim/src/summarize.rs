@@ -8,15 +8,13 @@
 //!
 //! Unlike per-message classification — where Table 3 shows the cost is
 //! fatal — these run a few times an hour, so even Falcon-40b-class latency
-//! is acceptable. [`StatusSummarizer`] implements all three tasks over the
-//! simulated model, with the same virtual-clock cost accounting.
+//! is acceptable. [`StatusSummarizer`] implements the first of them, the
+//! status summary the `summarize` command prints, over the simulated model
+//! with the same virtual-clock cost accounting.
 
 use crate::generative::ModelPreset;
-use crate::lm::CategoryLm;
 use crate::tokenizer::count_tokens;
 use hetsyslog_core::Category;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::fmt::Write as _;
 
 /// One summarization/explanation result, with cost accounting.
@@ -36,18 +34,12 @@ pub struct SummaryReport {
 #[derive(Debug, Clone)]
 pub struct StatusSummarizer {
     preset: ModelPreset,
-    lm: CategoryLm,
-    rng: ChaCha8Rng,
 }
 
 impl StatusSummarizer {
-    /// Build over a trained corpus (the model's domain exposure).
-    pub fn new(preset: ModelPreset, corpus: &[(String, Category)], seed: u64) -> StatusSummarizer {
-        StatusSummarizer {
-            preset,
-            lm: CategoryLm::train(corpus),
-            rng: ChaCha8Rng::seed_from_u64(seed),
-        }
+    /// A summarizer costed as `preset`.
+    pub fn new(preset: ModelPreset) -> StatusSummarizer {
+        StatusSummarizer { preset }
     }
 
     fn report(&self, prompt: &str, text: String) -> SummaryReport {
@@ -67,7 +59,7 @@ impl StatusSummarizer {
     /// Task 1: summarize system status from per-category message counts
     /// over a window (the input a Grafana panel would hand the model).
     pub fn summarize_status(
-        &mut self,
+        &self,
         window_minutes: u64,
         counts: &[(Category, u64)],
     ) -> SummaryReport {
@@ -112,122 +104,19 @@ impl StatusSummarizer {
         }
         self.report(&prompt, text)
     }
-
-    /// Task 2: explain a group of syslog messages from one node — the
-    /// bucket-exemplar explanation a human used to write by hand.
-    pub fn explain_group(
-        &mut self,
-        node: &str,
-        category: Category,
-        messages: &[&str],
-    ) -> SummaryReport {
-        let prompt = format!(
-            "Explain this group of {} syslog messages from node {node}: {:?}",
-            messages.len(),
-            messages.iter().take(4).collect::<Vec<_>>()
-        );
-        // Ground the explanation in the group's strongest recurring token.
-        let mut token_counts: std::collections::BTreeMap<String, usize> = Default::default();
-        for m in messages {
-            for t in textproc::tokenize(m) {
-                if t.len() > 3 {
-                    *token_counts.entry(t).or_default() += 1;
-                }
-            }
-        }
-        let signature = token_counts
-            .iter()
-            .max_by_key(|(t, n)| (**n, t.len()))
-            .map(|(t, _)| t.clone())
-            .unwrap_or_else(|| "event".to_string());
-        let flavor = self.lm.generate(category, &signature, 7, &mut self.rng);
-        let mut text = format!(
-            "Node {node} emitted {} messages classified as {category}: {}. Recurring term \
-             \"{signature}\" ties the group together",
-            messages.len(),
-            category.description()
-        );
-        if !flavor.is_empty() {
-            let _ = write!(text, " (typical content: \"{flavor}…\")");
-        }
-        let _ = write!(text, ". Suggested action: {}.", category.suggested_action());
-        self.report(&prompt, text)
-    }
-
-    /// Task 3: draft a reply to an admin email given current stats.
-    pub fn draft_admin_reply(
-        &mut self,
-        question: &str,
-        counts: &[(Category, u64)],
-    ) -> SummaryReport {
-        let prompt = format!("Draft a reply to this admin question: {question:?} given {counts:?}");
-        let relevant = Category::ALL
-            .iter()
-            .find(|c| {
-                question.to_ascii_lowercase().contains(
-                    &c.label()
-                        .to_ascii_lowercase()
-                        .split(' ')
-                        .next()
-                        .unwrap_or("")
-                        .to_string(),
-                )
-            })
-            .copied();
-        let mut text = String::from("Hi,\n\nThanks for reaching out. ");
-        match relevant {
-            Some(c) => {
-                let n = counts
-                    .iter()
-                    .find(|(cc, _)| *cc == c)
-                    .map(|(_, n)| *n)
-                    .unwrap_or(0);
-                let _ = write!(
-                    text,
-                    "We logged {n} {c} messages in the current window. Recommended next step: {}.",
-                    c.suggested_action()
-                );
-            }
-            None => {
-                let total: u64 = counts.iter().map(|(_, n)| n).sum();
-                let _ = write!(
-                    text,
-                    "Overall the test-bed logged {total} messages in the current window with no \
-                     category you mentioned standing out; happy to dig into a specific node."
-                );
-            }
-        }
-        text.push_str("\n\n— Tivan monitoring");
-        self.report(&prompt, text)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn corpus() -> Vec<(String, Category)> {
-        let mut c = Vec::new();
-        for i in 0..6 {
-            c.push((
-                format!("cpu {i} temperature above threshold clock throttled"),
-                Category::ThermalIssue,
-            ));
-            c.push((
-                format!("usb device {i} new number on hub"),
-                Category::UsbDevice,
-            ));
-        }
-        c
-    }
-
     fn summarizer() -> StatusSummarizer {
-        StatusSummarizer::new(ModelPreset::falcon_40b(), &corpus(), 7)
+        StatusSummarizer::new(ModelPreset::falcon_40b())
     }
 
     #[test]
     fn status_summary_names_dominant_category() {
-        let mut s = summarizer();
+        let s = summarizer();
         let r = s.summarize_status(
             60,
             &[
@@ -245,51 +134,16 @@ mod tests {
 
     #[test]
     fn quiet_cluster_summary() {
-        let mut s = summarizer();
+        let s = summarizer();
         let r = s.summarize_status(10, &[(Category::Unimportant, 900)]);
         assert!(r.text.contains("routine noise"));
-    }
-
-    #[test]
-    fn group_explanation_grounds_in_messages() {
-        let mut s = summarizer();
-        let msgs = [
-            "CPU 3 temperature above threshold clock throttled",
-            "CPU 7 temperature above threshold clock throttled",
-            "CPU 9 temperature above threshold clock throttled",
-        ];
-        let r = s.explain_group("cn0042", Category::ThermalIssue, &msgs);
-        assert!(r.text.contains("cn0042"));
-        assert!(r.text.contains("3 messages"));
-        // The signature term must come from the messages themselves.
-        assert!(
-            r.text.contains("temperature")
-                || r.text.contains("threshold")
-                || r.text.contains("throttled"),
-            "{}",
-            r.text
-        );
-        assert!(r.text.contains("Suggested action"));
-    }
-
-    #[test]
-    fn admin_reply_answers_the_category_asked_about() {
-        let mut s = summarizer();
-        let r = s.draft_admin_reply(
-            "Are we seeing thermal problems on the new rack?",
-            &[(Category::ThermalIssue, 88), (Category::Unimportant, 500)],
-        );
-        assert!(r.text.contains("88"));
-        assert!(r.text.contains("Thermal Issue"));
-        let r = s.draft_admin_reply("How is the cluster doing?", &[(Category::Unimportant, 5)]);
-        assert!(r.text.contains("5 messages"));
     }
 
     #[test]
     fn low_frequency_cost_is_acceptable() {
         // The point of §7: a handful of summaries per hour is fine even at
         // Falcon-40b latency, unlike per-message classification.
-        let mut s = summarizer();
+        let s = summarizer();
         let r = s.summarize_status(60, &[(Category::ThermalIssue, 10)]);
         assert!(
             r.inference_seconds < 30.0,
@@ -300,12 +154,12 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let msgs = ["usb device 4 new number on hub"];
-        let mut a = StatusSummarizer::new(ModelPreset::falcon_40b(), &corpus(), 3);
-        let mut b = StatusSummarizer::new(ModelPreset::falcon_40b(), &corpus(), 3);
+        let counts = [(Category::UsbDevice, 4), (Category::Unimportant, 9)];
+        let a = StatusSummarizer::new(ModelPreset::falcon_40b());
+        let b = StatusSummarizer::new(ModelPreset::falcon_40b());
         assert_eq!(
-            a.explain_group("n1", Category::UsbDevice, &msgs),
-            b.explain_group("n1", Category::UsbDevice, &msgs)
+            a.summarize_status(60, &counts),
+            b.summarize_status(60, &counts)
         );
     }
 }

@@ -73,35 +73,6 @@ impl Dataset {
         counts
     }
 
-    /// Stratified train/test split: each class contributes `test_ratio` of
-    /// its samples (rounded down, at least 1 when the class has ≥ 2) to the
-    /// test set. Deterministic under `seed`.
-    pub fn stratified_split(&self, test_ratio: f64, seed: u64) -> (Dataset, Dataset) {
-        assert!(
-            (0.0..1.0).contains(&test_ratio),
-            "test_ratio must be in [0,1)"
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); self.n_classes()];
-        for (i, &l) in self.labels.iter().enumerate() {
-            by_class[l].push(i);
-        }
-        let mut train_idx = Vec::new();
-        let mut test_idx = Vec::new();
-        for indices in &mut by_class {
-            indices.shuffle(&mut rng);
-            let mut n_test = (indices.len() as f64 * test_ratio).floor() as usize;
-            if n_test == 0 && indices.len() >= 2 && test_ratio > 0.0 {
-                n_test = 1;
-            }
-            test_idx.extend_from_slice(&indices[..n_test]);
-            train_idx.extend_from_slice(&indices[n_test..]);
-        }
-        train_idx.shuffle(&mut rng);
-        test_idx.shuffle(&mut rng);
-        (self.subset(&train_idx), self.subset(&test_idx))
-    }
-
     /// Extract the samples at `indices` (cloning features).
     pub fn subset(&self, indices: &[usize]) -> Dataset {
         let features: Vec<SparseVec> = indices.iter().map(|&i| self.features[i].clone()).collect();
@@ -131,34 +102,6 @@ impl Dataset {
         }
         indices.shuffle(&mut rng);
         self.subset(&indices)
-    }
-
-    /// Remove every sample of `class`, dropping the class from the label
-    /// space (the paper's "remove Unimportant" ablation). Returns the new
-    /// dataset and the mapping old-class-index → new-class-index.
-    pub fn drop_class(&self, class: usize) -> (Dataset, Vec<Option<usize>>) {
-        assert!(class < self.n_classes(), "class out of range");
-        let mut remap: Vec<Option<usize>> = Vec::with_capacity(self.n_classes());
-        let mut new_names = Vec::with_capacity(self.n_classes() - 1);
-        for (i, name) in self.class_names.iter().enumerate() {
-            if i == class {
-                remap.push(None);
-            } else {
-                remap.push(Some(new_names.len()));
-                new_names.push(name.clone());
-            }
-        }
-        let mut features = Vec::new();
-        let mut labels = Vec::new();
-        for (f, &l) in self.features.iter().zip(&self.labels) {
-            if let Some(nl) = remap[l] {
-                features.push(f.clone());
-                labels.push(nl);
-            }
-        }
-        let mut d = Dataset::new(features, labels, new_names);
-        d.n_features = self.n_features;
-        (d, remap)
     }
 }
 
@@ -206,41 +149,12 @@ mod tests {
     }
 
     #[test]
-    fn stratified_split_preserves_class_presence() {
-        let d = unbalanced();
-        let (train, test) = d.stratified_split(0.25, 42);
-        assert_eq!(train.len() + test.len(), d.len());
-        // Every class appears in both sides (class 2 has 2 samples: 1/1).
-        for c in 0..3 {
-            assert!(train.class_counts()[c] > 0, "class {c} missing from train");
-            assert!(test.class_counts()[c] > 0, "class {c} missing from test");
-        }
-        // Deterministic under the same seed.
-        let (train2, _) = d.stratified_split(0.25, 42);
-        assert_eq!(train.labels, train2.labels);
-        // Different under a different seed (extremely likely).
-        let (train3, _) = d.stratified_split(0.25, 43);
-        assert!(train.labels != train3.labels || train.features != train3.features);
-    }
-
-    #[test]
     fn oversample_balances() {
         let d = unbalanced();
         let o = d.random_oversample(7);
         assert_eq!(o.class_counts(), vec![12, 12, 12]);
         // Original samples are all retained.
         assert!(o.len() == 36);
-    }
-
-    #[test]
-    fn drop_class_remaps() {
-        let d = unbalanced();
-        let (dropped, remap) = d.drop_class(1);
-        assert_eq!(dropped.n_classes(), 2);
-        assert_eq!(dropped.len(), 14);
-        assert_eq!(remap, vec![Some(0), None, Some(1)]);
-        assert_eq!(dropped.class_names, vec!["a".to_string(), "c".to_string()]);
-        assert_eq!(dropped.class_counts(), vec![12, 2]);
     }
 
     #[test]
@@ -255,7 +169,5 @@ mod tests {
         let d = Dataset::new(vec![], vec![], vec!["a".into()]);
         assert!(d.is_empty());
         assert_eq!(d.n_features(), 0);
-        let (tr, te) = d.stratified_split(0.5, 1);
-        assert!(tr.is_empty() && te.is_empty());
     }
 }

@@ -56,18 +56,6 @@ impl LogisticRegression {
             bias: Vec::new(),
         }
     }
-
-    /// Per-class probabilities for one sample.
-    pub fn predict_proba(&self, x: &SparseVec) -> Vec<f64> {
-        assert!(!self.weights.is_empty(), "predict before fit");
-        let scores: Vec<f64> = self
-            .weights
-            .iter()
-            .zip(&self.bias)
-            .map(|(w, b)| x.dot_dense(w) + b)
-            .collect();
-        softmax(&scores)
-    }
 }
 
 /// Numerically stable softmax.
@@ -167,23 +155,12 @@ impl BatchClassifier for LogisticRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::testutil::{assert_learns_toy, toy_dataset};
+    use crate::traits::testutil::{assert_learns_toy, predict_all, toy_dataset};
 
     #[test]
     fn learns_toy_problem() {
         let mut m = LogisticRegression::new(LogisticRegressionConfig::default());
         assert_learns_toy(&mut m);
-    }
-
-    #[test]
-    fn probabilities_sum_to_one() {
-        let data = toy_dataset();
-        let mut m = LogisticRegression::new(LogisticRegressionConfig::default());
-        m.fit(&data);
-        let p = m.predict_proba(&data.features[0]);
-        assert_eq!(p.len(), 3);
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)));
     }
 
     #[test]
@@ -198,9 +175,9 @@ mod tests {
         let data = toy_dataset();
         let mut m = LogisticRegression::new(LogisticRegressionConfig::default());
         m.fit(&data);
-        let before = m.predict_batch(&data.features);
+        let before = predict_all(&m, &data.features);
         m.fit(&data);
-        let after = m.predict_batch(&data.features);
+        let after = predict_all(&m, &data.features);
         assert_eq!(before, after, "fit must be deterministic and re-entrant");
     }
 

@@ -126,25 +126,6 @@ impl ConfusionMatrix {
         (0..self.n_classes).map(|c| self.f1(c)).sum::<f64>() / self.n_classes as f64
     }
 
-    /// Per-truth-class row sums. Row `c` equals [`ConfusionMatrix::support`]
-    /// of `c` by construction; exposed so tests and exporters can check the
-    /// whole vector at once.
-    pub fn row_sums(&self) -> Vec<u64> {
-        (0..self.n_classes).map(|c| self.support(c)).collect()
-    }
-
-    /// Per-predicted-class column sums.
-    pub fn col_sums(&self) -> Vec<u64> {
-        (0..self.n_classes)
-            .map(|p| (0..self.n_classes).map(|t| self.get(t, p)).sum())
-            .collect()
-    }
-
-    /// Per-class F1 scores in class order.
-    pub fn per_class_f1(&self) -> Vec<f64> {
-        (0..self.n_classes).map(|c| self.f1(c)).collect()
-    }
-
     /// The full matrix as rows of counts, `rows[truth][predicted]` — the
     /// shape the experiment exporters serialize.
     pub fn rows(&self) -> Vec<Vec<u64>> {
@@ -355,24 +336,22 @@ mod tests {
         assert_eq!(cm.support(1), 1);
         assert_eq!(cm.support(2), 3);
         assert_eq!(cm.total(), 6);
-        assert_eq!(cm.row_sums(), vec![2, 1, 3]);
-        assert_eq!(cm.col_sums(), vec![2, 2, 2]);
-        assert_eq!(cm.col_sums().iter().sum::<u64>(), cm.total());
+        let rows = cm.rows();
+        let row_sums: Vec<u64> = rows.iter().map(|r| r.iter().sum()).collect();
+        let col_sums: Vec<u64> = (0..3).map(|p| rows.iter().map(|r| r[p]).sum()).collect();
+        assert_eq!(row_sums, vec![2, 1, 3]);
+        assert_eq!(col_sums, vec![2, 2, 2]);
+        assert_eq!(col_sums.iter().sum::<u64>(), cm.total());
     }
 
     #[test]
-    fn rows_and_per_class_f1_match_scalar_accessors() {
+    fn rows_match_scalar_accessors() {
         let cm =
             ConfusionMatrix::from_predictions(&names(3), &[0, 0, 1, 2, 2, 2], &[1, 0, 1, 2, 0, 2]);
         for (t, row) in cm.rows().iter().enumerate() {
             for (p, &cell) in row.iter().enumerate() {
                 assert_eq!(cell, cm.get(t, p));
             }
-        }
-        let f1 = cm.per_class_f1();
-        assert_eq!(f1.len(), 3);
-        for (c, v) in f1.iter().enumerate() {
-            assert_eq!(*v, cm.f1(c));
         }
     }
 

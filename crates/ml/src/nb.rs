@@ -177,7 +177,7 @@ impl BatchClassifier for ComplementNaiveBayes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::testutil::{assert_learns_toy, toy_dataset};
+    use crate::traits::testutil::{assert_learns_toy, predict_all, toy_dataset};
 
     #[test]
     fn learns_toy_problem() {
@@ -225,8 +225,8 @@ mod tests {
         normed.fit(&data);
         raw.fit(&data);
         assert_eq!(
-            normed.predict_batch(&data.features),
-            raw.predict_batch(&data.features),
+            predict_all(&normed, &data.features),
+            predict_all(&raw, &data.features),
             "normalization should not flip the toy problem"
         );
     }
@@ -246,8 +246,8 @@ mod tests {
         online.partial_fit(&first);
         online.partial_fit(&second);
         assert_eq!(
-            batch.predict_batch(&data.features),
-            online.predict_batch(&data.features)
+            predict_all(&batch, &data.features),
+            predict_all(&online, &data.features)
         );
     }
 

@@ -181,7 +181,7 @@ impl BatchClassifier for SgdClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::testutil::{assert_learns_toy, toy_dataset};
+    use crate::traits::testutil::{assert_learns_toy, predict_all, toy_dataset};
 
     #[test]
     fn learns_toy_problem() {
@@ -203,8 +203,8 @@ mod tests {
         a.fit(&data);
         b.fit(&data);
         assert_eq!(
-            a.predict_batch(&data.features),
-            b.predict_batch(&data.features)
+            predict_all(&a, &data.features),
+            predict_all(&b, &data.features)
         );
     }
 
@@ -220,7 +220,7 @@ mod tests {
         let data = toy_dataset();
         let mut m = SgdClassifier::new(SgdConfig::default());
         m.fit(&data);
-        let before = m.predict_batch(&data.features);
+        let before = predict_all(&m, &data.features);
         // A new phrasing of class 2: feature 11 replaces feature 6.
         let fresh = Dataset::new(
             vec![SparseVec::from_pairs(vec![(11, 1.0), (7, 0.8)]); 6],
@@ -236,7 +236,7 @@ mod tests {
             2
         );
         // …old knowledge retained.
-        let after = m.predict_batch(&data.features);
+        let after = predict_all(&m, &data.features);
         let kept = before.iter().zip(&after).filter(|(a, b)| a == b).count();
         assert!(
             kept >= data.len() - 2,
@@ -252,7 +252,7 @@ mod tests {
         for _ in 0..30 {
             m.partial_fit(&data);
         }
-        let preds = m.predict_batch(&data.features);
+        let preds = predict_all(&m, &data.features);
         let correct = preds
             .iter()
             .zip(&data.labels)

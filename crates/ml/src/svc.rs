@@ -152,7 +152,7 @@ impl BatchClassifier for LinearSvc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::testutil::{assert_learns_toy, toy_dataset};
+    use crate::traits::testutil::{assert_learns_toy, predict_all, toy_dataset};
 
     #[test]
     fn learns_toy_problem() {
@@ -168,8 +168,8 @@ mod tests {
         a.fit(&data);
         b.fit(&data);
         assert_eq!(
-            a.predict_batch(&data.features),
-            b.predict_batch(&data.features)
+            predict_all(&a, &data.features),
+            predict_all(&b, &data.features)
         );
     }
 

@@ -1,7 +1,6 @@
 //! The classifier interface shared by all eight models.
 
 use crate::dataset::Dataset;
-use rayon::prelude::*;
 use textproc::SparseVec;
 
 /// A multi-class classifier over sparse feature vectors.
@@ -20,12 +19,6 @@ pub trait Classifier: Send + Sync {
     /// Predict the class index of one sample. Panics if called before
     /// `fit`.
     fn predict(&self, x: &SparseVec) -> usize;
-
-    /// Predict many samples; the default implementation parallelizes with
-    /// rayon. Models with shared per-query scratch state may override.
-    fn predict_batch(&self, xs: &[SparseVec]) -> Vec<usize> {
-        xs.par_iter().map(|x| self.predict(x)).collect()
-    }
 
     /// Number of classes the model was fitted with (0 before `fit`).
     fn n_classes(&self) -> usize;
@@ -63,13 +56,19 @@ pub(crate) mod testutil {
         )
     }
 
+    /// Scalar predictions for every row: the oracle the batch path is
+    /// checked against.
+    pub fn predict_all(model: &dyn Classifier, xs: &[SparseVec]) -> Vec<usize> {
+        xs.iter().map(|x| model.predict(x)).collect()
+    }
+
     /// Fit `model` on the toy set and assert it classifies the training
     /// data (near-)perfectly — the minimum bar for a working learner.
     pub fn assert_learns_toy(model: &mut dyn Classifier) {
         let data = toy_dataset();
         model.fit(&data);
         assert_eq!(model.n_classes(), 3);
-        let preds = model.predict_batch(&data.features);
+        let preds = predict_all(model, &data.features);
         let correct = preds
             .iter()
             .zip(&data.labels)

@@ -161,17 +161,18 @@ proptest! {
         }
         let data = Dataset::new(features, labels, class_names(n_classes));
 
+        let matrix = CsrMatrix::from_rows(&data.features, 0);
         let mut knn = KNearestNeighbors::new(KnnConfig { k: 1 });
         knn.fit(&data);
-        prop_assert_eq!(knn.predict_batch(&data.features), data.labels.clone());
+        prop_assert_eq!(knn.predict_csr(&matrix), data.labels.clone());
 
         let mut nc = NearestCentroid::new();
         nc.fit(&data);
-        prop_assert_eq!(nc.predict_batch(&data.features), data.labels.clone());
+        prop_assert_eq!(nc.predict_csr(&matrix), data.labels.clone());
 
         let mut cnb = ComplementNaiveBayes::new(ComplementNbConfig::default());
         cnb.fit(&data);
-        prop_assert_eq!(cnb.predict_batch(&data.features), data.labels.clone());
+        prop_assert_eq!(cnb.predict_csr(&matrix), data.labels.clone());
     }
 
     /// The batch CSR path is bit-identical to the scalar path: for every
@@ -259,27 +260,6 @@ proptest! {
         }
     }
 
-    /// Stratified splits partition the data and never lose samples, for
-    /// arbitrary ratios and seeds.
-    #[test]
-    fn split_partitions(
-        labels in proptest::collection::vec(0usize..3, 6..80),
-        ratio in 0.1f64..0.9,
-        seed in 0u64..500,
-    ) {
-        let features: Vec<SparseVec> = (0..labels.len())
-            .map(|i| SparseVec::from_pairs(vec![(i as u32, 1.0)]))
-            .collect();
-        let data = Dataset::new(features, labels, class_names(3));
-        let (train, test) = data.stratified_split(ratio, seed);
-        prop_assert_eq!(train.len() + test.len(), data.len());
-        // Class counts are preserved in the union.
-        let union: Vec<usize> = (0..3)
-            .map(|c| train.class_counts()[c] + test.class_counts()[c])
-            .collect();
-        prop_assert_eq!(union, data.class_counts());
-    }
-
     /// SMOTE and ADASYN balance every non-empty class to the majority
     /// count, and synthetic points carry only values producible by
     /// interpolation (bounded by the class's max feature values).
@@ -330,15 +310,16 @@ proptest! {
             .map(|(i, &t)| (t + (i + seed as usize)) % 4)
             .collect();
         let cm = ConfusionMatrix::from_predictions(&class_names(4), &truth, &predicted);
-        let rows = cm.row_sums();
-        let cols = cm.col_sums();
+        let cells = cm.rows();
+        let rows: Vec<u64> = cells.iter().map(|r| r.iter().sum()).collect();
+        let cols: Vec<u64> = (0..4).map(|p| cells.iter().map(|r| r[p]).sum()).collect();
         for c in 0..4 {
             prop_assert_eq!(rows[c], cm.support(c));
             prop_assert_eq!(rows[c], truth.iter().filter(|&&l| l == c).count() as u64);
             prop_assert_eq!(cols[c], predicted.iter().filter(|&&l| l == c).count() as u64);
         }
         prop_assert_eq!(rows.iter().sum::<u64>(), cm.total());
-        for (t, row) in cm.rows().iter().enumerate() {
+        for (t, row) in cells.iter().enumerate() {
             for (p, &cell) in row.iter().enumerate() {
                 prop_assert_eq!(cell, cm.get(t, p));
             }
@@ -373,10 +354,8 @@ proptest! {
         prop_assert!((cm.weighted_f1() - cm_p.weighted_f1()).abs() < 1e-12);
         prop_assert!((cm.macro_f1() - cm_p.macro_f1()).abs() < 1e-12);
         prop_assert!((cm.accuracy() - cm_p.accuracy()).abs() < 1e-12);
-        let f1 = cm.per_class_f1();
-        let f1_p = cm_p.per_class_f1();
-        for c in 0..4 {
-            prop_assert!((f1[c] - f1_p[perm[c]]).abs() < 1e-12);
+        for (c, &pc) in perm.iter().enumerate() {
+            prop_assert!((cm.f1(c) - cm_p.f1(pc)).abs() < 1e-12);
         }
     }
 

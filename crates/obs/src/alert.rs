@@ -159,45 +159,6 @@ impl Rule {
         }
     }
 
-    /// An absence rule: fires when the series goes stale for `window_ms`.
-    pub fn absence(name: &str, metric: &str, window_ms: u64) -> Rule {
-        Rule {
-            name: name.to_string(),
-            metric: metric.to_string(),
-            labels: Vec::new(),
-            kind: RuleKind::Absence,
-            window_ms,
-            for_ms: 0,
-        }
-    }
-
-    /// A burn-rate rule: `rate(metric)/rate(denominator) cmp value`.
-    pub fn burn_rate(name: &str, metric: &str, denominator: &str, cmp: Cmp, value: f64) -> Rule {
-        Rule {
-            name: name.to_string(),
-            metric: metric.to_string(),
-            labels: Vec::new(),
-            kind: RuleKind::BurnRate {
-                denominator: denominator.to_string(),
-                denominator_labels: Vec::new(),
-                cmp,
-                value,
-            },
-            window_ms: 5_000,
-            for_ms: 0,
-        }
-    }
-
-    /// Select a labeled series.
-    pub fn with_labels(mut self, labels: &[(&str, &str)]) -> Rule {
-        self.labels = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        self.labels.sort();
-        self
-    }
-
     /// Set the aggregate window.
     pub fn over_ms(mut self, window_ms: u64) -> Rule {
         self.window_ms = window_ms;
@@ -534,6 +495,28 @@ mod tests {
         }
     }
 
+    /// An absence rule: fires when `metric` has no point in `window_ms`.
+    fn absence(name: &str, metric: &str, window_ms: u64) -> Rule {
+        Rule {
+            kind: RuleKind::Absence,
+            window_ms,
+            ..Rule::threshold(name, metric, RuleInput::Last, Cmp::Gt, 0.0)
+        }
+    }
+
+    /// A burn-rate rule: `rate(metric) / rate(denominator) > value`.
+    fn burn_rate(name: &str, metric: &str, denominator: &str, value: f64) -> Rule {
+        Rule {
+            kind: RuleKind::BurnRate {
+                denominator: denominator.to_string(),
+                denominator_labels: Vec::new(),
+                cmp: Cmp::Gt,
+                value,
+            },
+            ..Rule::threshold(name, metric, RuleInput::Last, Cmp::Gt, 0.0)
+        }
+    }
+
     #[test]
     fn threshold_fires_after_for_duration_and_resolves() {
         let store = TimeSeriesStore::new(64);
@@ -599,7 +582,7 @@ mod tests {
     #[test]
     fn absence_rule_detects_stale_series() {
         let store = TimeSeriesStore::new(64);
-        let engine = AlertEngine::new(vec![Rule::absence("stalled", "frames_total", 1_000)]);
+        let engine = AlertEngine::new(vec![absence("stalled", "frames_total", 1_000)]);
         // Never-seen series is absent.
         engine.evaluate(&store, 0);
         assert_eq!(engine.firing(), vec!["stalled".to_string()]);
@@ -615,11 +598,10 @@ mod tests {
     #[test]
     fn burn_rate_compares_two_counter_rates() {
         let store = TimeSeriesStore::new(64);
-        let engine = AlertEngine::new(vec![Rule::burn_rate(
+        let engine = AlertEngine::new(vec![burn_rate(
             "drop_burn",
             "dropped_total",
             "frames_total",
-            Cmp::Gt,
             0.05,
         )
         .over_ms(10_000)]);
@@ -658,13 +640,7 @@ mod tests {
         // No traffic at all: not a burn.
         let idle = TimeSeriesStore::new(8);
         idle.observe(0, 0, &[counter_snap("dropped_total", 0)]);
-        let engine2 = AlertEngine::new(vec![Rule::burn_rate(
-            "b",
-            "dropped_total",
-            "frames_total",
-            Cmp::Gt,
-            0.0,
-        )]);
+        let engine2 = AlertEngine::new(vec![burn_rate("b", "dropped_total", "frames_total", 0.0)]);
         engine2.evaluate(&idle, 0);
         assert!(engine2.firing().is_empty());
     }
@@ -674,7 +650,7 @@ mod tests {
         let store = TimeSeriesStore::new(8);
         let engine = AlertEngine::new(vec![
             Rule::threshold("t", "g", RuleInput::Last, Cmp::Gt, 1.0),
-            Rule::absence("a", "missing_total", 1_000),
+            absence("a", "missing_total", 1_000),
         ]);
         store.observe(0, 0, &[gauge_snap("g", 5)]);
         engine.evaluate(&store, 0);
@@ -708,7 +684,7 @@ mod tests {
     #[test]
     fn event_log_is_bounded() {
         let store = TimeSeriesStore::new(8);
-        let engine = AlertEngine::new(vec![Rule::absence("flap", "m", 100)]);
+        let engine = AlertEngine::new(vec![absence("flap", "m", 100)]);
         let mut t = 0u64;
         for _ in 0..(DEFAULT_EVENT_CAPACITY * 2) {
             engine.evaluate(&store, t); // absent → firing

@@ -192,59 +192,12 @@ impl Scrape {
             .sum()
     }
 
-    /// Distinct values of label `key` across every sample named `name`,
-    /// in first-appearance order (e.g. every `sink=` a scrape mentions).
-    pub fn label_values(&self, name: &str, key: &str) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for s in self.samples.iter().filter(|s| s.name == name) {
-            if let Some(v) = s.label(key) {
-                if !out.iter().any(|seen| seen == v) {
-                    out.push(v.to_string());
-                }
-            }
-        }
-        out
-    }
-
     /// The single sample with this exact name and a matching label, if any.
     pub fn value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         self.samples
             .iter()
             .find(|s| s.name == name && labels.iter().all(|(k, v)| s.label(k) == Some(v)))
             .map(|s| s.value)
-    }
-
-    /// Reconstruct a histogram family's per-bucket counts from its
-    /// cumulative `_bucket` samples, keyed by the non-`le` label set.
-    /// Returns `(upper_bound, count)` pairs in ascending `le` order with
-    /// the `+Inf` bucket folded away (its count is the total).
-    pub fn histogram_buckets(&self, family: &str, labels: &[(&str, &str)]) -> Vec<(u64, u64)> {
-        let bucket_name = format!("{family}_bucket");
-        let mut rows: Vec<(u64, u64)> = Vec::new();
-        for s in &self.samples {
-            if s.name != bucket_name {
-                continue;
-            }
-            if !labels.iter().all(|(k, v)| s.label(k) == Some(v)) {
-                continue;
-            }
-            let Some(le) = s.label("le") else { continue };
-            if le == "+Inf" {
-                continue;
-            }
-            if let Ok(upper) = le.parse::<u64>() {
-                rows.push((upper, s.value as u64));
-            }
-        }
-        rows.sort();
-        // Cumulative → per-bucket.
-        let mut prev = 0u64;
-        for row in rows.iter_mut() {
-            let c = row.1.saturating_sub(prev);
-            prev = row.1;
-            row.1 = c;
-        }
-        rows
     }
 }
 
@@ -371,11 +324,11 @@ mod tests {
             scrape.value("latency_us_count", &[("stage", "parse")]),
             Some(6.0)
         );
-        let buckets = scrape.histogram_buckets("latency_us", &[("stage", "parse")]);
-        let total: u64 = buckets.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 6);
         // The value-1 bucket holds exactly the two 1µs records.
-        assert!(buckets.contains(&(1, 2)));
+        assert_eq!(
+            scrape.value("latency_us_bucket", &[("stage", "parse"), ("le", "1")]),
+            Some(2.0)
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The crate provides four layers, each usable alone:
 //!
 //! - [`metrics`]: atomic [`Counter`] / [`Gauge`] and a log-linear-bucketed
-//!   atomic [`Histogram`] whose snapshots merge exactly and estimate
-//!   quantiles to within one bucket of error.
+//!   atomic [`Histogram`] whose snapshots estimate quantiles to within
+//!   one bucket of error.
 //! - [`registry`]: a named, labeled instrument [`Registry`]. Registration
 //!   locks once and hands back `Arc` handles; the record path is pure
 //!   atomics.
@@ -75,14 +75,6 @@ impl Telemetry {
         }
     }
 
-    /// A bundle with explicit span ring capacity and slow threshold.
-    pub fn with_spans(capacity: usize, slow_threshold: Duration) -> Telemetry {
-        Telemetry {
-            registry: Arc::new(Registry::new()),
-            spans: Arc::new(SpanLog::new(capacity, slow_threshold)),
-        }
-    }
-
     /// Convenience: a shared bundle.
     pub fn new_arc() -> Arc<Telemetry> {
         Arc::new(Telemetry::new())
@@ -104,7 +96,10 @@ mod tests {
         let t = Telemetry::new_arc();
         t.registry.counter("x_total", "", &[]).inc();
         t.spans.span("probe").finish();
-        assert_eq!(t.registry.counter_value("x_total", &[]), Some(1));
+        assert_eq!(
+            parse_exposition(&t.registry.render_prometheus()).value("x_total", &[]),
+            Some(1.0)
+        );
         assert_eq!(t.spans.spans_started(), 1);
     }
 }

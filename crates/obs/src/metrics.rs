@@ -83,8 +83,7 @@ pub const HIST_BUCKETS: usize =
 /// Layout: values `0..HIST_SUB` map to their own exact bucket; above that,
 /// each power-of-two octave `[2^e, 2^(e+1))` is split into [`HIST_SUB`]
 /// linear sub-buckets. Indices are continuous and monotone in `v`, and no
-/// bucket straddles a power of two — which is what lets the pipeline fold
-/// these buckets *exactly* into its legacy log₂ histograms.
+/// bucket straddles a power of two, so every bucket sits inside one octave.
 pub fn bucket_index(v: u64) -> usize {
     if v < HIST_SUB {
         v as usize
@@ -117,8 +116,7 @@ pub fn bucket_upper(i: usize) -> u64 {
 }
 
 /// An immutable histogram snapshot: per-bucket counts plus total count and
-/// sum. Merging snapshots is plain `u64` addition, so it is exactly
-/// associative and commutative.
+/// sum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Count (or weight) per bucket, indexed by [`bucket_index`].
@@ -137,15 +135,6 @@ impl HistogramSnapshot {
             count: 0,
             sum: 0,
         }
-    }
-
-    /// Merge `other` into `self` (exact: u64 saturating adds).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a = a.saturating_add(*b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
     }
 
     /// The bucket holding the `q`-th percentile rank (`0 ≤ q ≤ 100`), or
@@ -247,9 +236,9 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Atomically-read point-in-time snapshot. (Individual bucket loads are
-    /// relaxed; a snapshot taken while recorders run may be mid-update by a
-    /// few counts, exactly like the legacy atomic-array histograms.)
+    /// Point-in-time snapshot. Individual bucket loads are relaxed, so a
+    /// snapshot taken while recorders run may be mid-update by a few
+    /// counts.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: self
@@ -340,19 +329,5 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.buckets[bucket_index(64)], 64);
         assert_eq!(s.buckets[bucket_index(3)], 3);
-    }
-
-    #[test]
-    fn merge_adds_exactly() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(10);
-        b.record(10);
-        b.record(1000);
-        let mut sa = a.snapshot();
-        sa.merge(&b.snapshot());
-        assert_eq!(sa.count, 3);
-        assert_eq!(sa.sum, 1020);
-        assert_eq!(sa.buckets[bucket_index(10)], 2);
     }
 }

@@ -177,26 +177,6 @@ impl Registry {
         out
     }
 
-    /// Look up a counter's current value by name + labels (for invariant
-    /// checks and tests; the hot path holds handles instead).
-    pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        let families = self.families.lock();
-        match families.get(name)?.series.get(&labels_of(labels))? {
-            Instrument::Counter(c) => Some(c.get()),
-            _ => None,
-        }
-    }
-
-    /// Look up a gauge's current value by name + labels (same contract as
-    /// [`Registry::counter_value`]).
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<i64> {
-        let families = self.families.lock();
-        match families.get(name)?.series.get(&labels_of(labels))? {
-            Instrument::Gauge(g) => Some(g.get()),
-            _ => None,
-        }
-    }
-
     /// Render the whole registry in Prometheus text exposition format
     /// (version 0.0.4). Histograms emit cumulative `_bucket{le=...}` lines
     /// for each non-empty bucket plus `+Inf`, then `_sum` and `_count`.
@@ -218,8 +198,9 @@ mod tests {
         b.add(2);
         assert_eq!(a.get(), 3);
         assert_eq!(
-            reg.counter_value("requests_total", &[("stage", "parse")]),
-            Some(3)
+            crate::parse_exposition(&reg.render_prometheus())
+                .value("requests_total", &[("stage", "parse")]),
+            Some(3.0)
         );
         // Different labels → different series.
         let c = reg.counter("requests_total", "", &[("stage", "predict")]);
@@ -245,7 +226,9 @@ mod tests {
         let g = reg.gauge("mixed", "", &[]);
         g.set(99);
         // The original counter series is untouched.
-        assert_eq!(reg.counter_value("mixed", &[]), Some(1));
+        let all = reg.gather();
+        assert_eq!(all.len(), 1);
+        assert_eq!((all[0].kind, all[0].value), ("counter", 1));
     }
 
     #[test]

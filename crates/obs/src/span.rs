@@ -30,13 +30,6 @@ pub struct SpanRecord {
     pub end_us: u64,
 }
 
-impl SpanRecord {
-    /// Span duration in microseconds.
-    pub fn duration_us(&self) -> u64 {
-        self.end_us.saturating_sub(self.start_us)
-    }
-}
-
 /// The span sink: hands out [`Span`]s and retains the most recent slow
 /// ones in a fixed-capacity ring.
 #[derive(Debug)]

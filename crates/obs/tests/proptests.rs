@@ -1,5 +1,4 @@
-//! Property tests for the telemetry primitives (issue satellite):
-//! histogram merge is associative and commutative, quantile estimates
+//! Property tests for the telemetry primitives: quantile estimates
 //! bracket the true order statistics to within bucket error, concurrent
 //! counter increments sum exactly, and label values — control characters
 //! included — round-trip through the exposition renderer and parser.
@@ -28,45 +27,6 @@ fn true_quantile(values: &[u64], q: f64) -> u64 {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// merge(a, b) == merge(b, a), element for element.
-    #[test]
-    fn merge_is_commutative(
-        xs in collection::vec(0u64..1_000_000, 0..64),
-        ys in collection::vec(0u64..1_000_000, 0..64),
-    ) {
-        let (a, b) = (hist_of(&xs), hist_of(&ys));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(ab, ba);
-    }
-
-    /// merge(merge(a, b), c) == merge(a, merge(b, c)), and both equal the
-    /// histogram of the concatenated inputs.
-    #[test]
-    fn merge_is_associative_and_exact(
-        xs in collection::vec(0u64..1_000_000, 0..48),
-        ys in collection::vec(0u64..1_000_000, 0..48),
-        zs in collection::vec(0u64..1_000_000, 0..48),
-    ) {
-        let (a, b, c) = (hist_of(&xs), hist_of(&ys), hist_of(&zs));
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        prop_assert_eq!(&left, &right);
-
-        let mut all = Vec::new();
-        all.extend_from_slice(&xs);
-        all.extend_from_slice(&ys);
-        all.extend_from_slice(&zs);
-        prop_assert_eq!(left, hist_of(&all));
-    }
 
     /// The estimated quantile's bucket brackets the true order statistic:
     /// bucket_lower ≤ true value ≤ bucket_upper (= the estimate). Values

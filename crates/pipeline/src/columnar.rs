@@ -19,8 +19,8 @@
 //!   per column so template-native queries decompress only what they
 //!   read.
 //!
-//! The round trip is lossless: [`Segment::decode_all`] returns the
-//! original records byte-identically, in insert order. Template-native
+//! The round trip is lossless: [`Segment::scan_filtered`] with a keep-all
+//! filter yields the original records byte-identically, in insert order. Template-native
 //! queries ([`Segment::count_rows_by_template`],
 //! [`Segment::variable_values`], [`Segment::template_scan`]) skip
 //! decompression where possible: per-template row counts live in the
@@ -378,24 +378,9 @@ impl Segment {
         self.n_rows
     }
 
-    /// Earliest row timestamp (0 for an empty segment).
-    pub fn min_unix_seconds(&self) -> i64 {
-        self.min_unix
-    }
-
-    /// Latest row timestamp (0 for an empty segment).
-    pub fn max_unix_seconds(&self) -> i64 {
-        self.max_unix
-    }
-
     /// Rendered template patterns, dictionary order.
     pub fn template_patterns(&self) -> Vec<&str> {
         self.templates.iter().map(|e| e.pattern.as_str()).collect()
-    }
-
-    /// Per-template row counts, dictionary order (header data — free).
-    pub fn rows_per_template(&self) -> Vec<u64> {
-        self.templates.iter().map(|e| e.rows).collect()
     }
 
     /// Size of the encoded segment: compressed blocks plus the header's
@@ -479,14 +464,6 @@ impl Segment {
                 *acc.entry(self.templates[tid].pattern.clone()).or_default() += 1;
             }
         }
-    }
-
-    /// Decode every row, in insert order — the lossless inverse of
-    /// [`Segment::build`].
-    pub fn decode_all(&self) -> Vec<LogRecord> {
-        let mut out = Vec::with_capacity(self.n_rows);
-        self.scan_filtered(|_| true, |r| out.push(r.clone()));
-        out
     }
 
     /// Run `f` over every decoded row whose timestamp is in `[from, to)`,
@@ -615,147 +592,18 @@ impl Segment {
         }
         Some(vals)
     }
-
-    // ------------------------------------------------------ serialization
-
-    /// Serialize the whole segment to a self-contained byte buffer
-    /// (magic, header, dictionaries, compressed blocks).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"HSSG");
-        put_varint(&mut out, 1); // format version
-        put_varint(&mut out, self.n_rows as u64);
-        put_varint(&mut out, zigzag(self.min_unix));
-        put_varint(&mut out, zigzag(self.max_unix));
-        put_varint(&mut out, self.raw_bytes);
-        put_varint(&mut out, self.templates.len() as u64);
-        for e in &self.templates {
-            put_varint(&mut out, e.rows);
-            put_varint(&mut out, e.template.tokens().len() as u64);
-            for t in e.template.tokens() {
-                match t {
-                    TemplateToken::Const(w) => {
-                        out.push(0);
-                        put_str(&mut out, w);
-                    }
-                    TemplateToken::Var => out.push(1),
-                }
-            }
-        }
-        put_varint(&mut out, self.strings.len() as u64);
-        for s in &self.strings {
-            put_str(&mut out, s);
-        }
-        let put_block = |out: &mut Vec<u8>, block: &[u8]| {
-            put_varint(out, block.len() as u64);
-            out.extend_from_slice(block);
-        };
-        put_block(&mut out, &self.template_ids);
-        put_block(&mut out, &self.timestamps);
-        put_block(&mut out, &self.record_ids);
-        put_block(&mut out, &self.nodes);
-        put_block(&mut out, &self.apps);
-        put_block(&mut out, &self.flags);
-        put_varint(&mut out, self.var_blocks.len() as u64);
-        for b in &self.var_blocks {
-            put_block(&mut out, b);
-        }
-        out
-    }
-
-    /// Parse a [`Segment::to_bytes`] buffer. Returns `None` on any
-    /// structural corruption.
-    pub fn from_bytes(buf: &[u8]) -> Option<Segment> {
-        let mut pos = 0usize;
-        if buf.get(..4)? != b"HSSG" {
-            return None;
-        }
-        pos += 4;
-        if get_varint(buf, &mut pos)? != 1 {
-            return None;
-        }
-        let n_rows = get_varint(buf, &mut pos)? as usize;
-        let min_unix = unzigzag(get_varint(buf, &mut pos)?);
-        let max_unix = unzigzag(get_varint(buf, &mut pos)?);
-        let raw_bytes = get_varint(buf, &mut pos)?;
-        let n_templates = get_varint(buf, &mut pos)? as usize;
-        let mut templates = Vec::with_capacity(n_templates);
-        let mut var_block_offsets = Vec::with_capacity(n_templates);
-        let mut total_vars = 0usize;
-        for _ in 0..n_templates {
-            let rows = get_varint(buf, &mut pos)?;
-            let n_tokens = get_varint(buf, &mut pos)? as usize;
-            let mut tokens = Vec::with_capacity(n_tokens);
-            for _ in 0..n_tokens {
-                match *buf.get(pos)? {
-                    0 => {
-                        pos += 1;
-                        tokens.push(TemplateToken::Const(get_str(buf, &mut pos)?));
-                    }
-                    1 => {
-                        pos += 1;
-                        tokens.push(TemplateToken::Var);
-                    }
-                    _ => return None,
-                }
-            }
-            let template = Template::from_tokens(tokens);
-            var_block_offsets.push(total_vars);
-            total_vars += template.n_vars();
-            templates.push(TemplateEntry {
-                pattern: template.pattern(),
-                n_vars: template.n_vars(),
-                rows,
-                template,
-            });
-        }
-        let n_strings = get_varint(buf, &mut pos)? as usize;
-        let mut strings = Vec::with_capacity(n_strings);
-        for _ in 0..n_strings {
-            strings.push(get_str(buf, &mut pos)?);
-        }
-        let get_block = |pos: &mut usize| -> Option<Vec<u8>> {
-            let len = get_varint(buf, pos)? as usize;
-            let bytes = buf.get(*pos..*pos + len)?;
-            *pos += len;
-            Some(bytes.to_vec())
-        };
-        let template_ids = get_block(&mut pos)?;
-        let timestamps = get_block(&mut pos)?;
-        let record_ids = get_block(&mut pos)?;
-        let nodes = get_block(&mut pos)?;
-        let apps = get_block(&mut pos)?;
-        let flags = get_block(&mut pos)?;
-        let n_var_blocks = get_varint(buf, &mut pos)? as usize;
-        if n_var_blocks != total_vars {
-            return None;
-        }
-        let mut var_blocks = Vec::with_capacity(n_var_blocks);
-        for _ in 0..n_var_blocks {
-            var_blocks.push(get_block(&mut pos)?);
-        }
-        Some(Segment {
-            n_rows,
-            min_unix,
-            max_unix,
-            templates,
-            template_ids,
-            timestamps,
-            record_ids,
-            nodes,
-            apps,
-            flags,
-            var_blocks,
-            var_block_offsets,
-            strings,
-            raw_bytes,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every row, in insert order.
+    fn decode_all(segment: &Segment) -> Vec<LogRecord> {
+        let mut out = Vec::new();
+        segment.scan_filtered(|_| true, |r| out.push(r.clone()));
+        out
+    }
 
     fn rec(id: u64, t: i64, node: &str, message: &str) -> LogRecord {
         LogRecord {
@@ -850,7 +698,7 @@ mod tests {
         let records = sample_records(500);
         let segment = Segment::build(&records, TemplateMiner::DEFAULT_THRESHOLD);
         assert_eq!(segment.n_rows(), 500);
-        assert_eq!(segment.decode_all(), records);
+        assert_eq!(decode_all(&segment), records);
     }
 
     #[test]
@@ -873,16 +721,12 @@ mod tests {
         let mut counts = std::collections::BTreeMap::new();
         segment.count_rows_by_template(i64::MIN, i64::MAX, &mut counts);
         assert_eq!(counts.values().sum::<u64>(), 300);
-        // Oracle: decode and count.
+        // Oracle: decode each template's rows and count them.
         let mut oracle: std::collections::BTreeMap<String, u64> = Default::default();
-        let patterns = segment
-            .template_patterns()
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>();
-        let rows = segment.rows_per_template();
-        for (p, r) in patterns.iter().zip(rows) {
-            *oracle.entry(p.clone()).or_default() += r;
+        for (idx, pattern) in segment.template_patterns().iter().enumerate() {
+            segment.template_scan(idx, |_| {
+                *oracle.entry(pattern.to_string()).or_default() += 1;
+            });
         }
         assert_eq!(counts, oracle);
     }
@@ -945,26 +789,12 @@ mod tests {
     }
 
     #[test]
-    fn serialization_roundtrip() {
-        let records = sample_records(200);
-        let segment = Segment::build(&records, TemplateMiner::DEFAULT_THRESHOLD);
-        let bytes = segment.to_bytes();
-        let back = Segment::from_bytes(&bytes).expect("parse serialized segment");
-        assert_eq!(back.decode_all(), records);
-        assert_eq!(back.rows_per_template(), segment.rows_per_template());
-        assert!(Segment::from_bytes(&bytes[..bytes.len() / 2]).is_none());
-        assert!(Segment::from_bytes(b"nope").is_none());
-    }
-
-    #[test]
     fn empty_segment() {
         let segment = Segment::build(&[], TemplateMiner::DEFAULT_THRESHOLD);
         assert_eq!(segment.n_rows(), 0);
-        assert!(segment.decode_all().is_empty());
+        assert!(decode_all(&segment).is_empty());
         let mut counts = std::collections::BTreeMap::new();
         segment.count_rows_by_template(i64::MIN, i64::MAX, &mut counts);
         assert!(counts.is_empty());
-        let back = Segment::from_bytes(&segment.to_bytes()).expect("empty roundtrip");
-        assert_eq!(back.n_rows(), 0);
     }
 }

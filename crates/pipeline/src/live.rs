@@ -566,13 +566,14 @@ mod tests {
                 ..ListenerConfig::default()
             },
         );
+        let scrape = obs::parse_exposition(&registry.render_prometheus());
         assert_eq!(
-            registry.counter_value("hetsyslog_store_records_total", &[]),
-            Some(kept)
+            scrape.value("hetsyslog_store_records_total", &[]),
+            Some(kept as f64)
         );
         assert_eq!(
-            registry.counter_value("hetsyslog_monitor_messages_total", &[]),
-            Some(scraped_service.stats().total)
+            scrape.value("hetsyslog_monitor_messages_total", &[]),
+            Some(scraped_service.stats().total as f64)
         );
 
         let reference = stored(&tcp_store);

@@ -199,6 +199,6 @@ mod tests {
         let within = |got: u64, truth: u64| got >= truth && got <= truth + truth / 8;
         assert!(within(snap.fill_latency_p50_us, 300), "{snap:?}");
         assert!(within(snap.queue_latency_p50_us, 50_000), "{snap:?}");
-        assert!(within(snap.p99_queue_latency_us(), 99_000), "{snap:?}");
+        assert!(within(snap.queue_latency_p99_us, 99_000), "{snap:?}");
     }
 }

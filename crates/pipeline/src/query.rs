@@ -43,28 +43,9 @@ impl Query {
         self
     }
 
-    /// Filter by node.
-    pub fn on_node(mut self, node: impl Into<String>) -> Query {
-        self.node = Some(node.into());
-        self
-    }
-
-    /// Filter by application tag.
-    pub fn from_app(mut self, app: impl Into<String>) -> Query {
-        self.app = Some(app.into());
-        self
-    }
-
     /// Filter by category.
     pub fn in_category(mut self, c: Category) -> Query {
         self.category = Some(c);
-        self
-    }
-
-    /// Filter by minimum severity (e.g. `Severity::Warning` keeps
-    /// warning/error/critical/alert/emergency).
-    pub fn at_least(mut self, s: Severity) -> Query {
-        self.max_severity = Some(s);
         self
     }
 
@@ -185,12 +166,17 @@ mod tests {
         let store = store_with_data();
         let hits = Query::range(0, 100).term("cpu").execute(&store);
         assert_eq!(hits.len(), 2);
-        let hits = Query::range(0, 100)
-            .term("cpu")
-            .on_node("cn01")
-            .execute(&store);
+        let hits = Query {
+            node: Some("cn01".into()),
+            ..Query::range(0, 100).term("cpu")
+        }
+        .execute(&store);
         assert_eq!(hits.len(), 2);
-        let hits = Query::range(0, 100).on_node("cn02").execute(&store);
+        let hits = Query {
+            node: Some("cn02".into()),
+            ..Query::range(0, 100)
+        }
+        .execute(&store);
         assert_eq!(hits.len(), 1);
     }
 
@@ -201,17 +187,24 @@ mod tests {
             .in_category(Category::ThermalIssue)
             .execute(&store);
         assert_eq!(hits.len(), 2);
-        let hits = Query::range(0, 100)
-            .at_least(Severity::Warning)
-            .execute(&store);
+        // Warning keeps warning/error/critical/alert/emergency.
+        let hits = Query {
+            max_severity: Some(Severity::Warning),
+            ..Query::range(0, 100)
+        }
+        .execute(&store);
         assert_eq!(hits.len(), 2, "warning and error only");
     }
 
     #[test]
     fn app_filter() {
         let store = store_with_data();
-        assert_eq!(Query::range(0, 100).from_app("kernel").count(&store), 4);
-        assert_eq!(Query::range(0, 100).from_app("sshd").count(&store), 0);
+        let app = |name: &str| Query {
+            app: Some(name.into()),
+            ..Query::range(0, 100)
+        };
+        assert_eq!(app("kernel").count(&store), 4);
+        assert_eq!(app("sshd").count(&store), 0);
     }
 
     #[test]

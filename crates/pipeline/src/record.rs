@@ -26,33 +26,10 @@ pub struct LogRecord {
 }
 
 impl LogRecord {
-    /// Build from a parsed frame; `fallback_time` supplies the event time
-    /// when the frame has no timestamp.
-    pub fn from_message(id: u64, msg: &SyslogMessage, fallback_time: i64) -> LogRecord {
-        LogRecord {
-            id,
-            unix_seconds: msg
-                .timestamp
-                .map(|t| t.unix_seconds())
-                .unwrap_or(fallback_time),
-            node: msg
-                .hostname
-                .clone()
-                .unwrap_or_else(|| "unknown".to_string()),
-            app: msg
-                .app_name
-                .clone()
-                .unwrap_or_else(|| "unknown".to_string()),
-            severity: msg.severity,
-            facility: msg.facility,
-            message: msg.message.clone(),
-            category: None,
-        }
-    }
-
     /// Build by consuming a parsed frame: the hostname, app, and message
-    /// strings move into the record instead of being cloned. Use on the
-    /// hot ingest path when the message is not needed afterwards.
+    /// strings move into the record instead of being cloned.
+    /// `fallback_time` supplies the event time when the frame has no
+    /// timestamp.
     pub fn from_message_owned(id: u64, msg: SyslogMessage, fallback_time: i64) -> LogRecord {
         LogRecord {
             id,
@@ -89,7 +66,7 @@ mod tests {
         let msg =
             syslog_model::parse("<34>Oct 11 22:14:15 cn0007 sshd[42]: Connection closed [preauth]")
                 .unwrap();
-        let rec = LogRecord::from_message(9, &msg, 0);
+        let rec = LogRecord::from_message_owned(9, msg, 0);
         assert_eq!(rec.id, 9);
         assert_eq!(rec.node, "cn0007");
         assert_eq!(rec.app, "sshd");
@@ -101,29 +78,15 @@ mod tests {
     #[test]
     fn fallback_time_used_when_no_timestamp() {
         let msg = syslog_model::SyslogMessage::free_form("raw text");
-        let rec = LogRecord::from_message(1, &msg, 12345);
+        let rec = LogRecord::from_message_owned(1, msg, 12345);
         assert_eq!(rec.unix_seconds, 12345);
         assert_eq!(rec.node, "unknown");
     }
 
     #[test]
-    fn owned_constructor_matches_borrowed() {
-        for frame in [
-            "<34>Oct 11 22:14:15 cn0007 sshd[42]: Connection closed [preauth]",
-            "free-form text with no structure",
-        ] {
-            let msg = syslog_model::parse(frame)
-                .unwrap_or_else(|_| syslog_model::SyslogMessage::free_form(frame));
-            let borrowed = LogRecord::from_message(5, &msg, 777);
-            let owned = LogRecord::from_message_owned(5, msg, 777);
-            assert_eq!(borrowed, owned);
-        }
-    }
-
-    #[test]
     fn json_roundtrip() {
         let msg = syslog_model::parse("<34>Oct 11 22:14:15 cn1 app: hello").unwrap();
-        let mut rec = LogRecord::from_message(3, &msg, 0);
+        let mut rec = LogRecord::from_message_owned(3, msg, 0);
         rec.category = Some(Category::ThermalIssue);
         let line = rec.to_json();
         let back = LogRecord::from_json(&line).unwrap();

@@ -189,12 +189,6 @@ impl SpillConfig {
             segment_cap_bytes: 4 * 1024 * 1024,
         }
     }
-
-    /// Override the segment roll size.
-    pub fn with_segment_cap(mut self, bytes: u64) -> SpillConfig {
-        self.segment_cap_bytes = bytes.max(SPILL_HEADER_BYTES as u64);
-        self
-    }
 }
 
 /// What [`SpillBuffer::open`] found in an existing directory.
@@ -637,7 +631,10 @@ mod tests {
     #[test]
     fn segments_roll_at_cap_and_interleave_with_replay() {
         let dir = tmp_dir("roll");
-        let config = SpillConfig::new(&dir).with_segment_cap(128);
+        let config = SpillConfig {
+            segment_cap_bytes: 128,
+            ..SpillConfig::new(&dir)
+        };
         let (mut spill, _) = SpillBuffer::open(config).unwrap();
         for i in 0..20u64 {
             spill.append(&frame(i, 1, &[i as u8; 40])).unwrap();

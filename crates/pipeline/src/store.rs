@@ -21,7 +21,7 @@
 //! hot shards **seal** into template-mined columnar segments
 //! ([`crate::columnar::Segment`], DESIGN.md §6): automatically when a
 //! lane shard reaches the [`LogStore::with_sealing`] document threshold,
-//! or explicitly via [`LogStore::seal_before`] / [`LogStore::seal_all`]
+//! or explicitly via [`LogStore::seal_all`]
 //! (the hot-tier eviction path — records stay queryable, ~10–40×
 //! smaller). Sealed rows remain visible to every query
 //! ([`LogStore::scan`] decodes on demand), participate in
@@ -274,22 +274,10 @@ impl LogStore {
     /// Enable the sealed columnar tier: a lane shard reaching
     /// `threshold` documents is sealed into a columnar segment during the
     /// insert that crossed the threshold (builder-style; pass 0 to keep
-    /// sealing manual via [`LogStore::seal_before`]).
+    /// sealing manual via [`LogStore::seal_all`]).
     pub fn with_sealing(mut self, threshold: usize) -> LogStore {
         self.seal_threshold = threshold;
         self
-    }
-
-    /// Override the template-mining similarity threshold (builder-style;
-    /// default [`TemplateMiner::DEFAULT_THRESHOLD`]).
-    pub fn with_template_threshold(mut self, threshold: f64) -> LogStore {
-        self.template_threshold = threshold;
-        self
-    }
-
-    /// Write lanes per time slot.
-    pub fn n_lanes(&self) -> usize {
-        self.lanes
     }
 
     fn new_slot(&self) -> TimeSlot {
@@ -610,18 +598,10 @@ impl LogStore {
 
     // ------------------------------------------------------ seal / evict
 
-    /// Seal every hot shard strictly older than `cutoff_unix_seconds`
-    /// into columnar segments (shard-granular, like eviction): the
-    /// hot-tier eviction path that keeps records queryable at a fraction
-    /// of the bytes. Returns the number of records sealed. Lanes of one
-    /// slot are merged into a single segment so the template dictionary
-    /// spans the whole window.
-    pub fn seal_before(&self, cutoff_unix_seconds: i64) -> u64 {
-        let cutoff_shard = self.shard_key(cutoff_unix_seconds);
-        self.seal_slots_below(cutoff_shard)
-    }
-
-    /// Seal every hot shard, regardless of age.
+    /// Seal every hot shard, regardless of age, into columnar segments:
+    /// records stay queryable at a fraction of the bytes. Returns the
+    /// number of records sealed. Lanes of one slot are merged into a
+    /// single segment so the template dictionary spans the whole window.
     pub fn seal_all(&self) -> u64 {
         self.seal_slots_below(i64::MAX)
     }
@@ -748,32 +728,6 @@ impl LogStore {
         }
         Ok(count)
     }
-
-    /// Rebuild a store (indexes included) from a JSONL snapshot. Malformed
-    /// lines are skipped and counted in the second return value.
-    pub fn import_jsonl<R: std::io::BufRead>(
-        reader: R,
-        shard_seconds: i64,
-    ) -> std::io::Result<(LogStore, u64)> {
-        let store = LogStore::with_shard_seconds(shard_seconds);
-        let mut skipped = 0u64;
-        let mut max_id = 0u64;
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match LogRecord::from_json(&line) {
-                Ok(record) => {
-                    max_id = max_id.max(record.id + 1);
-                    store.insert(record);
-                }
-                Err(_) => skipped += 1,
-            }
-        }
-        store.next_id.store(max_id, Ordering::Relaxed);
-        Ok((store, skipped))
-    }
 }
 
 #[cfg(test)]
@@ -894,50 +848,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip_preserves_records_and_index() {
-        let store = LogStore::with_shard_seconds(60);
-        store.insert(rec(&store, 10, "cn01", "cpu temperature high"));
-        store.insert(rec(&store, 70, "cn02", "usb device attached"));
-        let mut snapshot = Vec::new();
-        let exported = store.export_jsonl(&mut snapshot).unwrap();
-        assert_eq!(exported, 2);
-
-        let (restored, skipped) =
-            LogStore::import_jsonl(std::io::BufReader::new(&snapshot[..]), 60).unwrap();
-        assert_eq!(skipped, 0);
-        assert_eq!(restored.len(), 2);
-        // The inverted index is rebuilt, not just the documents.
-        assert_eq!(
-            restored.search(0, 100, &["temperature".to_string()]).len(),
-            1
-        );
-        // Id allocation continues past the snapshot's ids.
-        assert!(restored.allocate_id() >= 2);
-    }
-
-    #[test]
-    fn import_skips_malformed_lines() {
-        let snapshot = b"{not json}\n\n";
-        let (restored, skipped) =
-            LogStore::import_jsonl(std::io::BufReader::new(&snapshot[..]), 60).unwrap();
-        assert_eq!(restored.len(), 0);
-        assert_eq!(skipped, 1);
-    }
-
-    #[test]
-    fn import_skips_a_deeply_nested_line() {
+    fn a_deeply_nested_line_is_rejected_not_overflowed() {
         let store = LogStore::new();
-        let good = |t| rec(&store, t, "cn01", "cpu temperature high").to_json();
-        let snapshot = format!("{}\n{}\n{}\n", good(10), "[".repeat(100_000), good(20));
-        let (restored, skipped) =
-            LogStore::import_jsonl(std::io::BufReader::new(snapshot.as_bytes()), 60).unwrap();
-        assert_eq!((restored.len(), skipped), (2, 1));
+        let good = rec(&store, 10, "cn01", "cpu temperature high").to_json();
+        assert!(LogRecord::from_json(&good).is_ok());
+        assert!(LogRecord::from_json(&"[".repeat(100_000)).is_err());
     }
 
     #[test]
     fn lanes_are_query_transparent() {
         let store = LogStore::with_config(60, 4);
-        assert_eq!(store.n_lanes(), 4);
         // Affine batches from 4 "pipeline shards" into distinct lanes of
         // the same time slot; queries must see the union.
         for lane in 0..4usize {
@@ -1088,28 +1008,23 @@ mod tests {
     }
 
     #[test]
-    fn seal_before_is_shard_granular_and_lossless() {
+    fn sealed_rows_query_export_and_evict_like_hot_rows() {
         let store = LogStore::with_shard_seconds(60);
         store.insert(rec(&store, 10, "a", "ancient marker"));
         store.insert(rec(&store, 70, "b", "old marker"));
         store.insert(rec(&store, 130, "c", "fresh marker"));
-        // Cutoff inside the second shard: only the first seals.
-        assert_eq!(store.seal_before(90), 1);
-        assert_eq!(store.n_shards(), 2);
-        assert_eq!(store.n_segments(), 1);
+        // One segment per time slot.
+        assert_eq!(store.seal_all(), 3);
+        assert_eq!(store.n_shards(), 0);
+        assert_eq!(store.n_segments(), 3);
         assert_eq!(store.len(), 3);
         assert_eq!(store.search(0, 200, &["marker".to_string()]).len(), 3);
         assert_eq!(store.search(0, 200, &["ancient".to_string()]).len(), 1);
-        // Export sees sealed and hot rows; import restores everything.
         let mut out = Vec::new();
         assert_eq!(store.export_jsonl(&mut out).unwrap(), 3);
-        let (restored, skipped) =
-            LogStore::import_jsonl(std::io::BufReader::new(&out[..]), 60).unwrap();
-        assert_eq!(skipped, 0);
-        assert_eq!(restored.len(), 3);
         // Eviction drops sealed segments like hot shards.
         assert_eq!(store.evict_before(120), 2);
-        assert_eq!(store.n_segments(), 0);
+        assert_eq!(store.n_segments(), 1);
         assert_eq!(store.len(), 1);
     }
 

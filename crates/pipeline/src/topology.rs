@@ -111,11 +111,6 @@ impl ClusterTopology {
         self.nodes.values()
     }
 
-    /// Nodes in `rack`.
-    pub fn rack_members(&self, rack: &str) -> Vec<&NodeInfo> {
-        self.nodes.values().filter(|n| n.rack == rack).collect()
-    }
-
     /// Nodes of `arch`.
     pub fn arch_peers(&self, arch: Architecture) -> Vec<&NodeInfo> {
         self.nodes.values().filter(|n| n.arch == arch).collect()
@@ -139,7 +134,7 @@ mod tests {
         let topo = ClusterTopology::darwin_like(4, 10);
         assert_eq!(topo.len(), 40);
         assert_eq!(topo.racks().len(), 4);
-        assert_eq!(topo.rack_members("r01").len(), 10);
+        assert_eq!(topo.nodes.values().filter(|n| n.rack == "r01").count(), 10);
         // All five architectures present.
         for arch in Architecture::ALL {
             assert!(!topo.arch_peers(arch).is_empty(), "{arch:?} missing");

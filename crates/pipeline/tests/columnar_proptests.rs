@@ -80,15 +80,14 @@ proptest! {
     }
 
     /// Segment encode → decode reproduces every record exactly (all
-    /// fields, message byte-identical), in insertion order — and survives
-    /// a serialization round trip.
+    /// fields, message byte-identical), in insertion order.
     #[test]
     fn segment_round_trip_is_lossless(records in collection::vec(record_strategy(), 0..60)) {
         let segment = Segment::build(&records, 0.5);
         prop_assert_eq!(segment.n_rows(), records.len());
-        prop_assert_eq!(&segment.decode_all(), &records);
-        let revived = Segment::from_bytes(&segment.to_bytes()).expect("self-produced bytes parse");
-        prop_assert_eq!(&revived.decode_all(), &records);
+        let mut decoded = Vec::new();
+        segment.scan_filtered(|_| true, |r| decoded.push(r.clone()));
+        prop_assert_eq!(&decoded, &records);
     }
 
     /// `count_rows_by_template` — which skips decompression for fully

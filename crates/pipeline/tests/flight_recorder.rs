@@ -69,7 +69,7 @@ fn drift_mutated_stream_fires_and_resolves_model_drift_alert() {
             workers: 2,
             queue_depth: 1024,
             overload: OverloadPolicy::Block,
-            telemetry: Some(telemetry),
+            telemetry: Some(telemetry.clone()),
             serve_metrics: true,
             flight_interval: Duration::from_millis(20),
             alert_rules: vec![obs::Rule::threshold(
@@ -111,9 +111,14 @@ fn drift_mutated_stream_fires_and_resolves_model_drift_alert() {
         "baseline never ingested: {:?}",
         listener.stats().snapshot()
     );
-    let quality = service.model_quality();
-    assert!(quality.baseline_frozen(), "600 >> 256 predictions recorded");
-    let calm_psi = quality.psi().expect("window populated");
+    // PSI as the operator reads it: the exported milli-PSI gauge.
+    let psi = || {
+        obs::parse_exposition(&registry.render_prometheus())
+            .value("hetsyslog_model_drift_psi_milli", &[])
+            .expect("PSI gauge exported")
+            / 1000.0
+    };
+    let calm_psi = psi();
     assert!(
         calm_psi < 0.25,
         "baseline traffic must not alert: {calm_psi}"
@@ -142,7 +147,7 @@ fn drift_mutated_stream_fires_and_resolves_model_drift_alert() {
         "drift burst never ingested: {:?}",
         listener.stats().snapshot()
     );
-    let drifted_psi = quality.psi().expect("window populated");
+    let drifted_psi = psi();
     assert!(
         drifted_psi > 0.25,
         "drift must push PSI over the alert threshold: {drifted_psi}"
@@ -179,7 +184,7 @@ fn drift_mutated_stream_fires_and_resolves_model_drift_alert() {
         "recovery traffic never ingested: {:?}",
         listener.stats().snapshot()
     );
-    let recovered_psi = quality.psi().expect("window populated");
+    let recovered_psi = psi();
     assert!(
         recovered_psi < 0.25,
         "window must forget the excursion: {recovered_psi}"

@@ -15,7 +15,7 @@
 //! mode for CI (`cargo test -p logpipeline --release --test sink_faults
 //! -- --ignored`) and writes `target/sink_faults_ledger.json` for upload.
 
-use logpipeline::testsupport::{fault_scenarios, scratch_dir, wait_until};
+use logpipeline::testsupport::{scratch_dir, wait_until, RecordingSink};
 use logpipeline::{
     BulkSink, FanOut, FaultPlan, ListenerConfig, LogStore, OverloadPolicy, SinkLaneConfig,
     SinkSnapshot, SinkSpec, SpillConfig, SyslogListener,
@@ -24,6 +24,30 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The three scripted fault scenarios, as `(label, plan)` pairs: 5%
+/// injected errors, 250 ms stalls, and a hard outage (shortened from 10 s
+/// for in-suite use — the CI storm smoke runs the full-length window).
+fn fault_scenarios(seed: u64, outage: Duration) -> Vec<(&'static str, FaultPlan)> {
+    vec![
+        (
+            "errors_5pct",
+            FaultPlan::healthy().with_seed(seed).with_error_rate(0.05),
+        ),
+        (
+            "stall_250ms",
+            FaultPlan::healthy()
+                .with_seed(seed)
+                .with_stall(Duration::from_millis(250)),
+        ),
+        (
+            "outage_hard",
+            FaultPlan::healthy()
+                .with_seed(seed)
+                .with_outage(Duration::ZERO, outage),
+        ),
+    ]
+}
 
 /// Write `n` LF-framed syslog lines over one TCP connection.
 fn send_frames(addr: SocketAddr, from: u64, n: u64) {
@@ -50,16 +74,21 @@ fn run_scenario(
     settle_ms: u64,
 ) -> (SinkSnapshot, Vec<u64>) {
     let dir = scratch_dir(&format!("faults-{label}"));
-    let bulk = Arc::new(BulkSink::new(format!("bulk-{label}"), plan).recording());
-    let mut lane = SinkLaneConfig::default().with_window(4).with_retry(
-        3,
-        Duration::from_millis(1),
-        Duration::from_millis(20),
-    );
+    let bulk = Arc::new(RecordingSink::new(format!("bulk-{label}"), plan));
+    let mut lane = SinkLaneConfig {
+        window: 4,
+        max_attempts: 3,
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(20),
+        ..SinkLaneConfig::default()
+    };
     if lossless {
-        lane = lane.with_spill(SpillConfig::new(&dir).with_segment_cap(64 * 1024));
+        lane = lane.with_spill(SpillConfig {
+            segment_cap_bytes: 64 * 1024,
+            ..SpillConfig::new(&dir)
+        });
     } else {
-        lane = lane.with_overload(OverloadPolicy::Shed);
+        lane.overload = OverloadPolicy::Shed;
     }
     let fan_out =
         FanOut::open(vec![SinkSpec::with_config(bulk.clone(), lane)], None).expect("open fan-out");
@@ -166,11 +195,15 @@ fn shutdown_drains_or_spills_in_flight_sink_batches() {
     let dir = scratch_dir("shutdown-gap");
     // Slow enough that shutdown always catches batches mid-flight.
     let plan = FaultPlan::healthy().with_stall(Duration::from_millis(120));
-    let bulk = Arc::new(BulkSink::new("slow-drain", plan).recording());
-    let lane = SinkLaneConfig::default()
-        .with_window(2)
-        .with_retry(2, Duration::from_millis(1), Duration::from_millis(10))
-        .with_spill(SpillConfig::new(&dir));
+    let bulk = Arc::new(RecordingSink::new("slow-drain", plan));
+    let lane = SinkLaneConfig {
+        window: 2,
+        max_attempts: 2,
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(10),
+        ..SinkLaneConfig::default()
+    }
+    .with_spill(SpillConfig::new(&dir));
     let fan_out =
         FanOut::open(vec![SinkSpec::with_config(bulk.clone(), lane)], None).expect("open fan-out");
 
@@ -222,11 +255,13 @@ fn shutdown_drains_or_spills_in_flight_sink_batches() {
 fn shutdown_without_spill_counts_undeliverable_remainder() {
     let plan = FaultPlan::healthy().with_stall(Duration::from_millis(150));
     let bulk = Arc::new(BulkSink::new("slow-noshed", plan));
-    let lane = SinkLaneConfig::default().with_window(64).with_retry(
-        2,
-        Duration::from_millis(1),
-        Duration::from_millis(10),
-    );
+    let lane = SinkLaneConfig {
+        window: 64,
+        max_attempts: 2,
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(10),
+        ..SinkLaneConfig::default()
+    };
     let fan_out =
         FanOut::open(vec![SinkSpec::with_config(bulk, lane)], None).expect("open fan-out");
     let store = Arc::new(LogStore::new());
@@ -273,11 +308,18 @@ fn outage_storm_recovers_with_zero_loss() {
         .with_error_rate(0.05)
         .with_outage(Duration::from_secs(1), Duration::from_secs(10))
         .with_outage(Duration::from_secs(15), Duration::from_secs(5));
-    let bulk = Arc::new(BulkSink::new("storm", plan).recording());
-    let lane = SinkLaneConfig::default()
-        .with_window(8)
-        .with_retry(3, Duration::from_millis(1), Duration::from_millis(50))
-        .with_spill(SpillConfig::new(&dir).with_segment_cap(256 * 1024));
+    let bulk = Arc::new(RecordingSink::new("storm", plan));
+    let lane = SinkLaneConfig {
+        window: 8,
+        max_attempts: 3,
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(50),
+        ..SinkLaneConfig::default()
+    }
+    .with_spill(SpillConfig {
+        segment_cap_bytes: 256 * 1024,
+        ..SpillConfig::new(&dir)
+    });
     let fan_out =
         FanOut::open(vec![SinkSpec::with_config(bulk.clone(), lane)], None).expect("open fan-out");
     let store = Arc::new(LogStore::new());

@@ -207,7 +207,8 @@ proptest! {
         let frames = frames_from(parts);
         let dir = case_dir("prop-fifo");
         let (mut spill, _) =
-            SpillBuffer::open(SpillConfig::new(&dir).with_segment_cap(cap)).expect("open");
+            SpillBuffer::open(SpillConfig { segment_cap_bytes: cap, ..SpillConfig::new(&dir) })
+                .expect("open");
 
         let mut next_append = 0usize;
         let mut committed: Vec<SpillFrame> = Vec::new();

@@ -5,13 +5,32 @@
 //! exactly once to the recovered sink, quarantine the torn tail, and keep
 //! the conservation ledger balanced on both sides of the crash.
 
-use logpipeline::testsupport::{sample_records, scratch_dir, wait_until};
+use logpipeline::testsupport::{scratch_dir, wait_until, RecordingSink};
 use logpipeline::{
-    BulkSink, FanOut, FaultPlan, SinkLaneConfig, SinkSpec, SpillBuffer, SpillConfig,
+    FanOut, FaultPlan, LogRecord, SinkLaneConfig, SinkSpec, SpillBuffer, SpillConfig,
 };
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// `n` records with ids `from..from + n`, cycling hostnames and apps so
+/// batches look like real traffic.
+fn sample_records(from: u64, n: u64) -> Vec<LogRecord> {
+    (from..from + n)
+        .map(|id| {
+            let frame = format!(
+                "<{}>Oct 11 22:14:{:02} cn{:04} app{}: sample record {id}",
+                (id % 8) * 8 + 6,
+                id % 60,
+                id % 16,
+                id % 4,
+            );
+            let msg = syslog_model::parse(&frame)
+                .unwrap_or_else(|_| syslog_model::SyslogMessage::free_form(&frame));
+            LogRecord::from_message_owned(id, msg, 1_700_000_000)
+        })
+        .collect()
+}
 
 /// Every `spill-*.seg` under `dir`, oldest first.
 fn segments(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
@@ -39,11 +58,18 @@ fn crash_mid_spill_replays_exactly_once_after_reopen() {
     // so every batch lands in the spill; shutdown(0) is the crash — no
     // drain attempts, queue force-spilled, segments sealed.
     let down = FaultPlan::healthy().with_outage(Duration::ZERO, Duration::from_secs(3600));
-    let sink = Arc::new(BulkSink::new("flaky-store", down).recording());
-    let lane = SinkLaneConfig::default()
-        .with_window(4)
-        .with_retry(2, Duration::from_millis(1), Duration::from_millis(5))
-        .with_spill(SpillConfig::new(&dir).with_segment_cap(1024));
+    let sink = Arc::new(RecordingSink::new("flaky-store", down));
+    let lane = SinkLaneConfig {
+        window: 4,
+        max_attempts: 2,
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(5),
+        ..SinkLaneConfig::default()
+    }
+    .with_spill(SpillConfig {
+        segment_cap_bytes: 1024,
+        ..SpillConfig::new(&dir)
+    });
     let fan_out =
         FanOut::open(vec![SinkSpec::with_config(sink.clone(), lane)], None).expect("open fan-out");
     for chunk in sample_records(0, total).chunks(6) {
@@ -101,7 +127,7 @@ fn crash_mid_spill_replays_exactly_once_after_reopen() {
     // ---- Phase 2: the restarted process. A healthy sink over the same
     // spill directory: open() must recover every intact frame, quarantine
     // the torn tail, and the worker replays it all without resubmission.
-    let sink2 = Arc::new(BulkSink::new("flaky-store", FaultPlan::healthy()).recording());
+    let sink2 = Arc::new(RecordingSink::new("flaky-store", FaultPlan::healthy()));
     let lane2 = SinkLaneConfig::default().with_spill(SpillConfig::new(&dir));
     let fan_out2 = FanOut::open(vec![SinkSpec::with_config(sink2.clone(), lane2)], None)
         .expect("reopen over crashed dir");

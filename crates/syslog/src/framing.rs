@@ -277,19 +277,17 @@ impl FrameDecoder {
     }
 }
 
-/// Split a complete in-memory stream (convenience over [`FrameDecoder`]).
-pub fn split_stream(bytes: &[u8]) -> Vec<String> {
-    let mut decoder = FrameDecoder::new();
-    let mut frames = decoder.push(bytes);
-    if let Some(tail) = decoder.finish() {
-        frames.push(tail);
-    }
-    frames
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decode a complete in-memory stream, flushing the unterminated tail.
+    fn split_stream(bytes: &[u8]) -> Vec<String> {
+        let mut decoder = FrameDecoder::new();
+        let mut frames = decoder.push(bytes);
+        frames.extend(decoder.finish());
+        frames
+    }
 
     const FRAME: &str = "<13>Oct 11 22:14:15 cn01 app: hello";
 

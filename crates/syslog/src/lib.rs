@@ -7,10 +7,8 @@
 //! best-effort fallback for the many vendor messages that follow neither.
 //!
 //! Heterogeneous test-beds such as LANL's Darwin cluster mix hardware from
-//! many vendors, and each vendor's firmware emits syslog with its own quirks.
-//! The [`dialect`] module provides lightweight detection of the originating
-//! subsystem (IPMI/BMC, kernel, slurmd, sshd, …) which downstream crates use
-//! to model that heterogeneity.
+//! many vendors, and each vendor's firmware emits syslog with its own quirks;
+//! the parsers accept every frame, falling back to free-form text.
 //!
 //! [RFC 3164]: https://www.rfc-editor.org/rfc/rfc3164
 //! [RFC 5424]: https://www.rfc-editor.org/rfc/rfc5424
@@ -29,7 +27,6 @@
 //! assert!(m.message.starts_with("Failed password"));
 //! ```
 
-pub mod dialect;
 pub mod error;
 pub mod framing;
 pub mod message;
@@ -39,9 +36,8 @@ pub mod rfc3164;
 pub mod rfc5424;
 pub mod timestamp;
 
-pub use dialect::{detect_dialect, Dialect};
 pub use error::ParseError;
-pub use framing::{find_byte_scalar, find_byte_swar, split_stream, FrameDecoder};
+pub use framing::{find_byte_scalar, find_byte_swar, FrameDecoder};
 pub use message::{Protocol, SyslogMessage};
 pub use normalize::{mask_variables, normalize_message, NormalizeOptions};
 pub use pri::{Facility, Severity};

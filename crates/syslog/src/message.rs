@@ -1,6 +1,5 @@
 //! The parsed syslog message representation shared across the workspace.
 
-use crate::dialect::{detect_dialect, Dialect};
 use crate::pri::{Facility, Severity};
 use crate::timestamp::Timestamp;
 use serde::{Deserialize, Serialize};
@@ -77,34 +76,6 @@ impl SyslogMessage {
             raw: raw.to_string(),
         }
     }
-
-    /// Best-effort identification of the emitting subsystem.
-    pub fn dialect(&self) -> Dialect {
-        detect_dialect(self.app_name.as_deref(), &self.message)
-    }
-
-    /// The text most useful for classification: the free-text MSG plus any
-    /// structured-data parameter values (vendors often hide the payload
-    /// there).
-    pub fn classification_text(&self) -> String {
-        if self.structured_data.is_empty() {
-            return self.message.clone();
-        }
-        let mut out = self.message.clone();
-        for el in &self.structured_data {
-            for value in el.params.values() {
-                out.push(' ');
-                out.push_str(value);
-            }
-        }
-        out
-    }
-
-    /// Builder-style setter for the hostname.
-    pub fn with_hostname(mut self, host: impl Into<String>) -> Self {
-        self.hostname = Some(host.into());
-        self
-    }
 }
 
 impl fmt::Display for SyslogMessage {
@@ -144,18 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn classification_text_includes_sd_values() {
-        let mut m = SyslogMessage::free_form("base");
-        let mut params = BTreeMap::new();
-        params.insert("reading".to_string(), "95C".to_string());
-        m.structured_data.push(StructuredElement {
-            id: "thermal@1".to_string(),
-            params,
-        });
-        assert_eq!(m.classification_text(), "base 95C");
-    }
-
-    #[test]
     fn display_reconstructs_header() {
         let m = SyslogMessage {
             protocol: Protocol::Rfc3164,
@@ -175,7 +134,8 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let m = SyslogMessage::free_form("hello").with_hostname("n1");
+        let mut m = SyslogMessage::free_form("hello");
+        m.hostname = Some("n1".into());
         let json = serde_json::to_string(&m).unwrap();
         let back: SyslogMessage = serde_json::from_str(&json).unwrap();
         assert_eq!(m, back);

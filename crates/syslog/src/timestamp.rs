@@ -12,9 +12,8 @@ use std::fmt;
 
 /// A parsed syslog timestamp.
 ///
-/// RFC 3164 timestamps carry no year; callers that need absolute time fill
-/// it in with [`Timestamp::with_year`] (collectors conventionally assume the
-/// current year).
+/// RFC 3164 timestamps carry no year; [`Timestamp::unix_seconds`] assumes
+/// the paper's collection year for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Timestamp {
     /// Calendar year; 0 means "unknown" (RFC 3164 frames).
@@ -120,12 +119,6 @@ impl Timestamp {
             return Err(bad("time of day out of range"));
         }
         Ok(())
-    }
-
-    /// Return a copy with the year filled in (for RFC 3164 frames).
-    pub fn with_year(mut self, year: i32) -> Timestamp {
-        self.year = year;
-        self
     }
 
     /// Seconds since the Unix epoch, treating a missing offset as UTC and a

@@ -39,14 +39,6 @@ impl Default for HashingVectorizer {
 }
 
 impl HashingVectorizer {
-    /// A vectorizer with `n_buckets` features.
-    pub fn with_buckets(n_buckets: u32) -> HashingVectorizer {
-        HashingVectorizer {
-            n_buckets: n_buckets.max(1),
-            ..HashingVectorizer::default()
-        }
-    }
-
     fn bucket_and_sign(&self, token: &str) -> (u32, f64) {
         let mut h = FxHasher::default();
         token.hash(&mut h);
@@ -99,6 +91,13 @@ mod tests {
         s.split_whitespace().map(str::to_string).collect()
     }
 
+    fn buckets(n_buckets: u32) -> HashingVectorizer {
+        HashingVectorizer {
+            n_buckets,
+            ..HashingVectorizer::default()
+        }
+    }
+
     #[test]
     fn deterministic_and_stateless() {
         let v = HashingVectorizer::default();
@@ -118,7 +117,7 @@ mod tests {
 
     #[test]
     fn buckets_bound_indices() {
-        let v = HashingVectorizer::with_buckets(64);
+        let v = buckets(64);
         let out = v.transform(&toks("a b c d e f g h i j k l m n"));
         assert!(out.max_dim() <= 64);
     }
@@ -161,8 +160,8 @@ mod tests {
 
     #[test]
     fn different_bucket_counts_disagree() {
-        let small = HashingVectorizer::with_buckets(8);
-        let large = HashingVectorizer::with_buckets(1 << 20);
+        let small = buckets(8);
+        let large = buckets(1 << 20);
         let t = toks("cpu temperature above threshold sensor throttle");
         assert!(small.transform(&t).max_dim() <= 8);
         assert!(

@@ -183,11 +183,6 @@ impl Lemmatizer {
         //    and -es where unambiguous, leave everything else alone.
         fallback(token)
     }
-
-    /// Lemmatize a token stream.
-    pub fn lemmatize_all(&self, tokens: &[String]) -> Vec<String> {
-        tokens.iter().map(|t| self.lemmatize(t)).collect()
-    }
 }
 
 /// `stem` + `replacement` if the dictionary holds it. The candidate is a

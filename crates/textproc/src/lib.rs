@@ -15,7 +15,7 @@
 //!   (Table 1 of the paper),
 //! * [`hashing`] — a vocabulary-free hashing vectorizer (drift-immune
 //!   features for the X3 adaptation study),
-//! * [`ngram`] — word and character n-gram extraction,
+//! * [`ngram`] — word n-gram extraction,
 //! * [`template`] — a LogShrink-style log-template miner (bucket by word
 //!   count, similarity-cluster, variables → `<*>`) with lossless
 //!   message reconstruction — the codec behind the columnar log store.

@@ -24,22 +24,6 @@ pub fn word_ngram_range(tokens: &[String], max_n: usize) -> Vec<String> {
     out
 }
 
-/// Character n-grams of a single string (Cavnar-Trenkle style, including
-/// word-boundary padding with `_`).
-pub fn char_ngrams(text: &str, n: usize) -> Vec<String> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let padded: Vec<char> = std::iter::once('_')
-        .chain(text.chars())
-        .chain(std::iter::once('_'))
-        .collect();
-    if padded.len() < n {
-        return Vec::new();
-    }
-    padded.windows(n).map(|w| w.iter().collect()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,17 +56,5 @@ mod tests {
     fn range_concatenates_orders() {
         let grams = word_ngram_range(&toks("a b c"), 2);
         assert_eq!(grams, vec!["a", "b", "c", "a_b", "b_c"]);
-    }
-
-    #[test]
-    fn char_trigrams_padded() {
-        let grams = char_ngrams("ab", 3);
-        assert_eq!(grams, vec!["_ab", "ab_"]);
-    }
-
-    #[test]
-    fn char_ngrams_short_input() {
-        assert!(char_ngrams("", 4).is_empty());
-        assert_eq!(char_ngrams("", 2), vec!["__"]);
     }
 }

@@ -136,11 +136,6 @@ impl SparseVec {
         self.norm_sq().sqrt()
     }
 
-    /// L1 norm.
-    pub fn l1_norm(&self) -> f64 {
-        self.values.iter().map(|v| v.abs()).sum()
-    }
-
     /// Scale all values in place.
     pub fn scale(&mut self, factor: f64) {
         for v in &mut self.values {
@@ -164,12 +159,6 @@ impl SparseVec {
         } else {
             self.dot(other) / denom
         }
-    }
-
-    /// Squared Euclidean distance.
-    pub fn euclidean_sq(&self, other: &SparseVec) -> f64 {
-        // ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a·b
-        (self.norm_sq() + other.norm_sq() - 2.0 * self.dot(other)).max(0.0)
     }
 
     /// The largest stored index plus one (0 for an empty vector).
@@ -299,16 +288,6 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// An empty matrix with a fixed column count.
-    pub fn with_columns(n_cols: usize) -> CsrMatrix {
-        CsrMatrix {
-            row_offsets: vec![0],
-            indices: Vec::new(),
-            values: Vec::new(),
-            n_cols,
-        }
-    }
-
     /// Build from rows. The column count is the max over rows unless a
     /// larger `n_cols` is given.
     pub fn from_rows(rows: &[SparseVec], n_cols: usize) -> CsrMatrix {
@@ -372,22 +351,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Append a row given pre-sorted, pre-merged parts (the CSR-direct
-    /// construction path used by the batch vectorizers).
-    pub fn push_row_parts(&mut self, indices: &[u32], values: &[f64]) {
-        debug_assert_eq!(indices.len(), values.len());
-        debug_assert!(
-            indices.windows(2).all(|w| w[0] < w[1]),
-            "row indices must be sorted unique"
-        );
-        self.indices.extend_from_slice(indices);
-        self.values.extend_from_slice(values);
-        self.row_offsets.push(self.indices.len());
-        if let Some(&last) = indices.last() {
-            self.n_cols = self.n_cols.max(last as usize + 1);
-        }
-    }
-
     /// Append many rows at once from concatenated storage: `row_lens[i]`
     /// entries belong to appended row `i`. One bulk copy per chunk — the
     /// stitch step after parallel per-chunk vectorization.
@@ -406,36 +369,10 @@ impl CsrMatrix {
         }
     }
 
-    /// Iterate rows as `(indices, values)` slice pairs, in row order.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (&[u32], &[f64])> + '_ {
-        (0..self.n_rows()).map(move |r| self.row(r))
-    }
-
     /// Expand back into one owned [`SparseVec`] per row (the inverse of
     /// [`CsrMatrix::from_rows`]).
     pub fn to_rows(&self) -> Vec<SparseVec> {
         (0..self.n_rows()).map(|r| self.row_vec(r)).collect()
-    }
-
-    /// L2-normalize every row in place (zero rows untouched), with the same
-    /// operation order as [`SparseVec::l2_normalize`] row by row.
-    pub fn l2_normalize_rows(&mut self) {
-        for r in 0..self.row_offsets.len() - 1 {
-            let (start, end) = (self.row_offsets[r], self.row_offsets[r + 1]);
-            l2_normalize_slice(&mut self.values[start..end]);
-        }
-    }
-
-    /// Dot of row `r` with a dense weight slice.
-    pub fn row_dot_dense(&self, r: usize, dense: &[f64]) -> f64 {
-        let (idx, vals) = self.row(r);
-        let mut sum = 0.0;
-        for (&i, &v) in idx.iter().zip(vals) {
-            if let Some(w) = dense.get(i as usize) {
-                sum += w * v;
-            }
-        }
-        sum
     }
 }
 
@@ -487,7 +424,6 @@ mod tests {
     fn norms_and_cosine() {
         let a = sv(&[(0, 3.0), (1, 4.0)]);
         assert_eq!(a.norm(), 5.0);
-        assert_eq!(a.l1_norm(), 7.0);
         let mut u = a.clone();
         u.l2_normalize();
         assert!((u.norm() - 1.0).abs() < 1e-12);
@@ -495,14 +431,6 @@ mod tests {
         let orth = sv(&[(2, 1.0)]);
         assert_eq!(a.cosine(&orth), 0.0);
         assert_eq!(SparseVec::new().cosine(&a), 0.0);
-    }
-
-    #[test]
-    fn euclidean_matches_definition() {
-        let a = sv(&[(0, 1.0), (1, 2.0)]);
-        let b = sv(&[(1, 5.0), (2, 1.0)]);
-        // (1-0)^2 handled: a has (0,1), b missing → 1; (2-5)^2=9; (0-1)^2=1
-        assert!((a.euclidean_sq(&b) - 11.0).abs() < 1e-12);
     }
 
     #[test]
@@ -524,12 +452,6 @@ mod tests {
         assert_eq!(m.row_vec(0), rows[0]);
         assert_eq!(m.row_vec(1), rows[1]);
         assert_eq!(m.row(2).0, &[2]);
-    }
-
-    #[test]
-    fn csr_row_dot_dense() {
-        let m = CsrMatrix::from_rows(&[sv(&[(1, 2.0)])], 3);
-        assert_eq!(m.row_dot_dense(0, &[0.0, 4.0, 0.0]), 8.0);
     }
 
     #[test]

@@ -53,11 +53,6 @@ pub struct Template {
 }
 
 impl Template {
-    /// Build from explicit tokens (used by segment deserialization).
-    pub fn from_tokens(tokens: Vec<TemplateToken>) -> Template {
-        Template { tokens }
-    }
-
     /// The token positions.
     pub fn tokens(&self) -> &[TemplateToken] {
         &self.tokens
@@ -198,11 +193,6 @@ impl TemplateMiner {
             clusters: Vec::new(),
             buckets: HashMap::new(),
         }
-    }
-
-    /// Number of clusters mined so far.
-    pub fn n_clusters(&self) -> usize {
-        self.clusters.len()
     }
 
     /// Assign `message` to a cluster (creating one if no same-word-count

@@ -194,6 +194,9 @@ fn main() {
 
     let health = listener.health().expect("service attached");
     let dead = listener.dead_letters().snapshot();
+    // The flight ring outlives the listener: the stop-time sweep pins the
+    // drained totals into the timeline for post-mortem export.
+    let flight = listener.flight_store().expect("flight recorder on");
     let report = listener.shutdown();
 
     println!("ingest:   {report:#?}");
@@ -214,6 +217,9 @@ fn main() {
         );
     }
     println!("\nstore holds {} records", store.len());
+    if let Some(last) = flight.latest("hetsyslog_ingest_frames_total", &[]) {
+        println!("flight recorder final sweep: {} frames", last.value);
+    }
     println!("\n--- /alerts (burst inside the rate window) ---\n{alerts_firing}");
     println!("\n--- /alerts (after calm) ---\n{alerts_resolved}");
     println!("\n--- /metrics scrape ---\n{exposition}");

@@ -85,7 +85,7 @@ pub mod prelude {
         SensorVerdict, Sink, SinkLaneConfig, SinkSpec, SpillConfig, SyslogListener,
     };
     pub use obs::{AlertEngine, Cmp, Registry, Rule, RuleInput, Telemetry};
-    pub use syslog_model::{parse, split_stream, FrameDecoder, Severity, SyslogMessage};
+    pub use syslog_model::{parse, FrameDecoder, Severity, SyslogMessage};
 }
 
 #[cfg(test)]

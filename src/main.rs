@@ -8,7 +8,7 @@
 //! hetsyslog monitor  --frames 20000 --workers 4 [--conns 8] [--frontend reactor:threads=2]
 //! hetsyslog top      --addr 127.0.0.1:9100 [--watch]
 //! hetsyslog flight   export --addr 127.0.0.1:9100 --out flight.json
-//! hetsyslog summarize --scale 0.01 --window 60
+//! hetsyslog summarize --window 60
 //! ```
 //!
 //! Every subcommand is deterministic under `--seed` and uses only the
@@ -62,7 +62,7 @@ fn usage_and_exit() -> ! {
          \x20            [--watch [--iterations N]]         live refresh + /alerts panel (time-series ring)\n\
          \x20 flight     export --addr HOST:PORT [--out FILE]  dump the /flight time-series ring as JSON\n\
          \x20 templates  --frames N [--top K] [--histogram PATTERN --slot N]  mine the stream into a columnar store\n\
-         \x20 summarize  --scale F --window MIN             LLM status summary (future-work demo)\n\n\
+         \x20 summarize  --window MIN                       LLM status summary (future-work demo)\n\n\
          SINKS (repeatable --sink SPEC; --spill DIR adds durable spill-then-replay per sink):\n\
          \x20 file:DIR            append-only CRC-framed segment files\n\
          \x20 bulk[:k=v,...]      simulated bulk indexer (error=F stall_ms=N outage=START+DUR seed=N)\n\
@@ -1047,11 +1047,9 @@ fn cmd_templates(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_summarize(opts: &Opts) -> Result<(), String> {
-    let corpus = load_corpus(opts)?;
     let window = opts.get_u64("window", 60)?;
     let seed = opts.get_u64("seed", 42)?;
-    let mut summarizer =
-        llmsim::StatusSummarizer::new(llmsim::ModelPreset::falcon_40b(), &corpus, seed);
+    let summarizer = llmsim::StatusSummarizer::new(llmsim::ModelPreset::falcon_40b());
     // Derive counts from a simulated window of traffic.
     let mut counts: BTreeMap<Category, u64> = BTreeMap::new();
     for tm in StreamGenerator::new(StreamConfig {

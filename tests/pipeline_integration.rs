@@ -68,7 +68,13 @@ fn full_ingest_and_query_roundtrip() {
     // Two senders, octet-counted wire, as rsyslog forwards over TCP.
     for half in messages.chunks(messages.len() / 2) {
         let mut sock = TcpStream::connect(listener.tcp_addr()).expect("connect");
-        let wire: Vec<u8> = half.iter().flat_map(|m| m.to_wire()).collect();
+        let wire: Vec<u8> = half
+            .iter()
+            .flat_map(|m| {
+                let frame = m.to_frame();
+                format!("{} {frame}", frame.len()).into_bytes()
+            })
+            .collect();
         sock.write_all(&wire).expect("write");
     }
     assert!(
@@ -97,10 +103,11 @@ fn full_ingest_and_query_roundtrip() {
 
     // Node-scoped query.
     let node = hits[0].node.clone();
-    let node_hits = Query::range(START - 100, START + 100_000)
-        .term("throttled")
-        .on_node(&node)
-        .execute(&store);
+    let node_hits = Query {
+        node: Some(node.clone()),
+        ..Query::range(START - 100, START + 100_000).term("throttled")
+    }
+    .execute(&store);
     assert!(!node_hits.is_empty());
     assert!(node_hits.iter().all(|r| r.node == node));
 }
