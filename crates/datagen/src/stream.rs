@@ -287,8 +287,8 @@ mod tests {
             assert_eq!(parsed.message, tm.message.text);
             // The template family rides along as structured data.
             assert_eq!(
-                parsed.structured_data[0].params["family"],
-                tm.message.family
+                parsed.structured_data[0].params,
+                [("family".to_string(), tm.message.family.clone())]
             );
         }
     }

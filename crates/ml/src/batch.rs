@@ -227,12 +227,13 @@ pub(crate) fn argmin(scores: &[f64]) -> usize {
     best
 }
 
-/// Inverted index over a training set's feature columns, in one flat CSR
+/// Inverted index over a set of rows' feature columns, in one flat CSR
 /// layout: the postings of feature `f` are `rows[offsets[f]..offsets[f + 1]]`
-/// (training rows, ascending) with their values in the same slots of
-/// `vals`. Built once per fitted kNN model so a `predict_csr` query touches
-/// only the training rows that share at least one feature with it, instead
-/// of the full scan.
+/// (row numbers, ascending) with their values in the same slots of `vals`.
+/// kNN builds one per fitted model over its distinct training rows, one
+/// row per group of bitwise-identical rows, so a `predict_csr` query
+/// touches each group that shares at least one feature with it once,
+/// instead of scanning every training row.
 #[derive(Debug, Clone)]
 pub(crate) struct InvertedIndex {
     offsets: Vec<usize>,
@@ -243,8 +244,8 @@ pub(crate) struct InvertedIndex {
 impl InvertedIndex {
     /// Index `train` by feature column: count each column, prefix-sum the
     /// counts into offsets, then fill the slots row by row.
-    pub(crate) fn build(train: &[SparseVec]) -> InvertedIndex {
-        let n_features = train.iter().map(SparseVec::max_dim).max().unwrap_or(0);
+    pub(crate) fn build(train: &[&SparseVec]) -> InvertedIndex {
+        let n_features = train.iter().map(|v| v.max_dim()).max().unwrap_or(0);
         let mut offsets = vec![0usize; n_features + 1];
         for vec in train {
             for &i in vec.indices() {
@@ -272,10 +273,16 @@ impl InvertedIndex {
         }
     }
 
-    /// Accumulate `acc[t] += q_v · t_v` for every training row `t` sharing a
+    /// Number of postings: the indexed rows' summed nnz.
+    #[cfg(test)]
+    pub(crate) fn n_postings(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Accumulate `acc[t] += q_v · t_v` for every indexed row `t` sharing a
     /// feature with the query. Because the query's entries are walked in
-    /// ascending index order and each posting list is in ascending training
-    /// row order, each `acc[t]` receives its products in ascending shared
+    /// ascending index order and each posting list is in ascending row
+    /// order, each `acc[t]` receives its products in ascending shared
     /// feature order — the same order as the merge in [`SparseVec::dot`].
     pub(crate) fn accumulate_dots(&self, q_indices: &[u32], q_values: &[f64], acc: &mut [f64]) {
         for (&qi, &qv) in q_indices.iter().zip(q_values) {
@@ -362,12 +369,12 @@ mod tests {
 
     #[test]
     fn inverted_index_matches_sparse_dot() {
-        let train = vec![
+        let train = [
             SparseVec::from_pairs(vec![(0, 1.0), (3, 2.0)]),
             SparseVec::from_pairs(vec![(1, 0.5)]),
             SparseVec::new(),
         ];
-        let index = InvertedIndex::build(&train);
+        let index = InvertedIndex::build(&[&train[0], &train[1], &train[2]]);
         let q = SparseVec::from_pairs(vec![(0, 2.0), (1, 4.0), (7, 1.0)]);
         let mut acc = vec![0.0; train.len()];
         index.accumulate_dots(q.indices(), q.values(), &mut acc);

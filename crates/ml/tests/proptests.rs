@@ -75,13 +75,16 @@ proptest! {
     /// (cosines equal in exact arithmetic, a few ulps apart in floats),
     /// all-zero training rows, empty queries, queries touching fewer than k
     /// rows or carrying feature ids beyond the index, and values spanning
-    /// 1e-3 … 1e3.
+    /// 1e-3 … 1e3. Groups of 2 to 11 exact copies, under one label or
+    /// cycling through all three, put the k-th place inside one group of
+    /// identical rows when a query equals their row.
     #[test]
     fn knn_predict_csr_matches_scalar_on_adversarial_rows(
         k in (0usize..5).prop_map(|i| [1, 2, 3, 5, 7][i]),
         base in collection::vec((knn_row(6), 0usize..3), 1..12),
         copies in collection::vec((0usize..64, 0usize..3, 0usize..3), 0..10),
         probes in collection::vec(knn_row(9), 0..8),
+        groups in collection::vec((0usize..64, 2usize..12, 0usize..3, 0u32..2), 0..3),
     ) {
         let (mut features, mut labels): (Vec<SparseVec>, Vec<usize>) =
             base.iter().cloned().unzip();
@@ -90,6 +93,13 @@ proptest! {
             row.scale([1.0, 3.0, 0.1][scale]);
             features.push(row);
             labels.push(label);
+        }
+        for &(pick, size, label, one_label) in &groups {
+            let row = features[pick % base.len()].clone();
+            for i in 0..size {
+                features.push(row.clone());
+                labels.push(if one_label == 1 { label } else { (label + i) % 3 });
+            }
         }
         features.push(SparseVec::new());
         labels.push(0);

@@ -3,7 +3,6 @@
 use crate::pri::{Facility, Severity};
 use crate::timestamp::Timestamp;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which grammar the frame was parsed under.
@@ -23,8 +22,9 @@ pub enum Protocol {
 pub struct StructuredElement {
     /// The SD-ID (`exampleSDID@32473`).
     pub id: String,
-    /// Parameter name → value, in stable order.
-    pub params: BTreeMap<String, String>,
+    /// `(name, value)` of every SD-PARAM, in frame order. A name may
+    /// repeat (RFC 5424 §6.3.3), and each occurrence is kept.
+    pub params: Vec<(String, String)>,
 }
 
 /// A parsed syslog message.

@@ -13,7 +13,6 @@ use crate::error::ParseError;
 use crate::message::{Protocol, StructuredElement, SyslogMessage};
 use crate::pri::parse_pri_prefix;
 use crate::timestamp::Timestamp;
-use std::collections::BTreeMap;
 
 /// Parse a frame under the RFC 5424 grammar.
 pub fn parse_rfc5424(raw: &str) -> Result<SyslogMessage, ParseError> {
@@ -111,7 +110,7 @@ fn parse_sd_element(input: &str) -> Result<(StructuredElement, &str), ParseError
     let id = rest[..id_end].to_string();
     rest = &rest[id_end..];
 
-    let mut params = BTreeMap::new();
+    let mut params = Vec::new();
     loop {
         if let Some(tail) = rest.strip_prefix(']') {
             return Ok((StructuredElement { id, params }, tail));
@@ -128,7 +127,7 @@ fn parse_sd_element(input: &str) -> Result<(StructuredElement, &str), ParseError
             .strip_prefix('"')
             .ok_or_else(|| bad("param value must be quoted"))?;
         let (value, tail) = parse_quoted_value(rest)?;
-        params.insert(name, value);
+        params.push((name, value));
         rest = tail;
     }
 }
@@ -177,7 +176,17 @@ mod tests {
         assert_eq!(m.proc_id.as_deref(), Some("812"));
         assert_eq!(m.msg_id.as_deref(), Some("ID47"));
         assert_eq!(m.structured_data.len(), 1);
-        assert_eq!(m.structured_data[0].params["eventID"], "1011");
+        let params: Vec<(&str, &str)> = (m.structured_data[0].params.iter())
+            .map(|(n, v)| (n.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(
+            params,
+            [
+                ("iut", "3"),
+                ("eventSource", "Application"),
+                ("eventID", "1011")
+            ]
+        );
         assert_eq!(m.message, "An application event log entry");
     }
 
@@ -206,7 +215,19 @@ mod tests {
     #[test]
     fn escaped_values() {
         let m = parse_rfc5424(r#"<34>1 - h a p m [x@1 v="say \"hi\" \] \\ done"] b"#).unwrap();
-        assert_eq!(m.structured_data[0].params["v"], r#"say "hi" ] \ done"#);
+        assert_eq!(
+            m.structured_data[0].params,
+            [("v".to_string(), r#"say "hi" ] \ done"#.to_string())]
+        );
+    }
+
+    #[test]
+    fn a_repeated_param_name_keeps_every_value() {
+        let m = parse_rfc5424(r#"<34>1 - h a p m [x@1 a="1" b="0" a="2"] msg"#).unwrap();
+        let params: Vec<(&str, &str)> = (m.structured_data[0].params.iter())
+            .map(|(n, v)| (n.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(params, [("a", "1"), ("b", "0"), ("a", "2")]);
     }
 
     #[test]

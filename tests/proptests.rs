@@ -1,8 +1,64 @@
 //! Cross-crate property tests: invariants that hold across subsystem
 //! boundaries for arbitrary seeds and scales.
 
+use datagen::{DriftConfig, DriftModel};
+use hetsyslog::ml::KnnConfig;
 use hetsyslog::prelude::*;
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
+
+/// kNN (k = 5) answers a generated stream through `predict_csr` exactly as
+/// per-row `predict` does, as streamed and after `DriftModel`. The corpus
+/// repeats its templates, so many training rows are bit-for-bit copies,
+/// and some copies carry different labels: the groups of identical rows
+/// the batch path indexes once, including the ties it must hand back to
+/// the scalar vote.
+#[test]
+fn knn_predict_csr_matches_scalar_on_a_datagen_stream() {
+    // hsbench's training corpus: 9 830 rows in 3 017 groups.
+    let corpus = generate_corpus(&CorpusConfig {
+        scale: 0.05,
+        seed: 42,
+        ..CorpusConfig::default()
+    });
+    let texts: Vec<&str> = corpus.iter().map(|m| m.text.as_str()).collect();
+    let mut pipeline = FeaturePipeline::new(FeatureConfig::default());
+    let features = pipeline.fit_transform(&texts);
+    let labels: Vec<usize> = corpus.iter().map(|m| m.category.index()).collect();
+
+    let mut groups: HashMap<(Vec<u32>, Vec<u64>), BTreeSet<usize>> = HashMap::new();
+    for (row, &label) in features.iter().zip(&labels) {
+        let bits = row.values().iter().map(|v| v.to_bits()).collect();
+        groups
+            .entry((row.indices().to_vec(), bits))
+            .or_default()
+            .insert(label);
+    }
+    assert!(
+        groups.values().any(|labels| labels.len() > 1),
+        "the fixture needs identical training rows under different labels"
+    );
+
+    let mut knn = KNearestNeighbors::new(KnnConfig { k: 5 });
+    knn.fit(&Dataset::new(features, labels, Category::all_labels()));
+    let clean: Vec<String> = StreamGenerator::new(StreamConfig {
+        seed: 7,
+        ..StreamConfig::default()
+    })
+    .take(512)
+    .map(|tm| tm.message.text)
+    .collect();
+    let drifted = DriftModel::new(DriftConfig::default()).mutate_all(&clean);
+    for (name, messages) in [("clean", &clean), ("drifted", &drifted)] {
+        for batch in messages.chunks(64) {
+            let m = pipeline.transform_batch_csr(batch);
+            let scalar: Vec<usize> = (0..m.n_rows())
+                .map(|r| knn.predict(&m.row_vec(r)))
+                .collect();
+            assert_eq!(knn.predict_csr(&m), scalar, "{name} stream");
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
